@@ -17,14 +17,13 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import DataError
 from .events import NONTERMINAL_CONTEXT, rule_context_element
-from .hypergraph import Edge, Hypergraph, Node, _child_spans
+from .hypergraph import Edge, Hypergraph, Node, _child_spans, build_tree
 from .model import TrainedModel
 from .pcfg import NEG_INF, InsideChart, cyk_viterbi
-from .trees import Tree, annotate_spans
+from .trees import Tree
 
 HEURISTIC_FULL = "full"
 HEURISTIC_LOCAL = "local"
@@ -107,29 +106,6 @@ def _child_items(
     return out
 
 
-def _rebuild_tree(hg: Hypergraph, decisions: tuple[Edge, ...]) -> Tree:
-    """Replay a leftmost expansion sequence into a tree."""
-    grammar = hg.grammar
-    it: Iterator[Edge] = iter(decisions)
-
-    def build(node: Node) -> Tree:
-        edge = next(it)
-        rule = grammar.rules[edge[0]]
-        _, i, j = node
-        children: list[Tree | str] = []
-        for sym, (a, b) in zip(rule.rhs, _child_spans(rule, i, j, edge[1])):
-            if sym.terminal:
-                children.append(hg.words[a])
-            else:
-                children.append(build((sym.id, a, b)))
-        return Tree(grammar.nonterminals.text(node[0]), children)
-
-    assert hg.root is not None
-    tree = build(hg.root)
-    annotate_spans(tree)
-    return tree
-
-
 def astar_parse(
     model: TrainedModel,
     hg: Hypergraph,
@@ -167,8 +143,9 @@ def astar_parse(
         _, _, hyp = queue.pop()
         pops += 1
         if hyp.complete:
+            replay = iter(hyp.decisions)
             return AStarResult(
-                _rebuild_tree(hg, hyp.decisions),
+                build_tree(hg.grammar, hg.words, hg.root, lambda _: next(replay)),
                 hyp.log_score,
                 False,
                 pops,

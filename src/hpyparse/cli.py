@@ -168,6 +168,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(f"terminals        {stats.num_terminals}")
     print(f"final-objective  {stats.final_objective:.6f}")
     print(f"optimizer-iters  {stats.optimizer_iterations}")
+    print(f"optimizer-converged  {'yes' if stats.optimizer_converged else 'no'}")
+    if not stats.optimizer_converged:
+        print(
+            f"warning: depth-parameter fit stopped after {stats.optimizer_iterations} "
+            "iterations without converging",
+            file=sys.stderr,
+        )
     print(f"model            {args.model}")
     return 0
 

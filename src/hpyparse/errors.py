@@ -27,5 +27,6 @@ class GrammarError(DataError):
     """A grammar that violates the shape restrictions the decoders rely on."""
 
 
-class ModelFormatError(Exception):
-    """Version mismatch, truncation, or checksum failure in a model file."""
+class ModelFormatError(DataError):
+    """Version mismatch, truncation, checksum failure, or a payload that
+    does not describe a valid model."""

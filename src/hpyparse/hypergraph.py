@@ -1,25 +1,33 @@
-"""The pruned parse hypergraph for one sentence.
+"""The derivation enumeration shared by every chart algorithm, and the
+pruned parse hypergraph for one sentence.
 
 Nodes are (nonterminal, start, end) items; a hyperedge records the rule
-and split that build its head from tail items or words. The chart keeps
-exactly the items that are derivable bottom-up *and* reachable from the
-root item, so every retained node takes part in at least one complete
-tree. Top-down decoders walk edges from the root; the edge encoding
-(rule id, split) determines child spans and kinds.
+and split that build its head from tail items or words. ``derivations``
+lists every such edge of every derivable item bottom-up, in the order
+chart folds combine them: inside sums and maxima, Viterbi backpointers,
+sampling weights, tree counts and span-count maximization are each one
+pass over that list under a different semiring (Goodman 1999, *Semiring
+Parsing*). The hypergraph keeps exactly the items that are derivable
+bottom-up *and* reachable from the root item, so every retained node
+takes part in at least one complete tree. Top-down decoders walk edges
+from the root; the edge encoding (rule id, split) determines child spans
+and kinds, and ``build_tree`` turns a choice of edge per item into a tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
+
+import numpy as np
 
 from .errors import DataError
 from .grammar import Grammar, Rule
-from .pcfg import terminal_ids
-from .trees import Sentence, Tree, annotate_spans
+from .trees import Sentence, Tree
 
 Node = tuple[int, int, int]  # (nonterminal id, start, end)
 Edge = tuple[int, int]  # (rule id, split; -1 when the rule is not binary)
+Derivation = tuple[Node, Edge, tuple[Node, ...]]  # head, edge, nonterminal tails
 
 
 @dataclass
@@ -29,6 +37,8 @@ class Hypergraph:
     nodes: set[Node] = field(default_factory=set)
     edges: dict[Node, list[Edge]] = field(default_factory=dict)
     root: Node | None = None
+    # the kept edges in ``derivations`` order: each after its tails' edges
+    derivations: list[Derivation] = field(default_factory=list)
 
     @property
     def empty(self) -> bool:
@@ -55,6 +65,127 @@ def _child_spans(rule: Rule, i: int, j: int, split: int) -> list[tuple[int, int]
     return [(i, split), (split, j)]
 
 
+def terminal_ids(grammar: Grammar, words: Sentence) -> list[int]:
+    """Map words to terminal ids; unknown words get -1 (match nothing)."""
+    return [
+        grammar.terminals.id(w) if w in grammar.terminals else -1 for w in words
+    ]
+
+
+def derivations(
+    grammar: Grammar, words: Sentence, usable: np.ndarray | None = None
+) -> list[Derivation]:
+    """Every edge of every item derivable over ``words``, bottom-up.
+
+    Cells come by increasing width, then start. Within a cell come the
+    lexical edges in rule-id order, then the binary edges by (rule id,
+    split), then the unary edges in ``grammar.unary_rule_order()``; so
+    every edge comes after all edges of its tails, and a fold over the
+    list combines each item's edges in one fixed order. A terminal in a
+    binary child slot matches exactly a width-one span with that word.
+    ``usable`` (a flag per rule id) leaves out the rules it marks false,
+    and the items only they derive.
+    """
+    word_ids = terminal_ids(grammar, words)
+    lexical: dict[int, list[tuple[int, int]]] = {}  # terminal -> (rule, lhs)
+    # left child (terminal flag, id) -> (rule, lhs, right child)
+    binary: dict[tuple[bool, int], list[tuple[int, int, tuple[bool, int]]]] = {}
+    for rid, rule in enumerate(grammar.rules):
+        if usable is not None and not usable[rid]:
+            continue
+        if rule.is_lexical:
+            lexical.setdefault(rule.rhs[0].id, []).append((rid, rule.lhs))
+        elif rule.is_binary:
+            binary.setdefault(rule.rhs[0], []).append((rid, rule.lhs, rule.rhs[1]))
+    unary = [
+        (rid, grammar.rules[rid].lhs, grammar.rules[rid].rhs[0].id)
+        for rid in grammar.unary_rule_order()
+        if usable is None or usable[rid]
+    ]
+
+    n = len(words)
+    cells: dict[tuple[int, int], set[int]] = {}  # derivable nonterminals per span
+    out: list[Derivation] = []
+    for width in range(1, n + 1):
+        for i in range(n - width + 1):
+            j = i + width
+            here: set[int] = set()
+            if width == 1:
+                for rid, lhs in lexical.get(word_ids[i], ()):
+                    out.append(((lhs, i, j), (rid, -1), ()))
+                    here.add(lhs)
+            found: list[tuple[int, int, int, tuple[Node, ...]]] = []
+            for m in range(i + 1, j):
+                rights = cells[m, j]
+                lefts = [(False, a) for a in cells[i, m]]
+                if m == i + 1:
+                    lefts.append((True, word_ids[i]))
+                for left in lefts:
+                    for rid, lhs, (right_terminal, right) in binary.get(left, ()):
+                        if right_terminal:
+                            if j != m + 1 or word_ids[m] != right:
+                                continue
+                            tails: tuple[Node, ...] = ()
+                        elif right in rights:
+                            tails = ((right, m, j),)
+                        else:
+                            continue
+                        if not left[0]:
+                            tails = ((left[1], i, m),) + tails
+                        found.append((rid, m, lhs, tails))
+            found.sort()  # (rule id, split) is unique within a cell
+            for rid, m, lhs, tails in found:
+                out.append(((lhs, i, j), (rid, m), tails))
+                here.add(lhs)
+            for rid, lhs, child in unary:
+                if child in here:
+                    out.append(((lhs, i, j), (rid, -1), ((child, i, j),)))
+                    here.add(lhs)
+            cells[i, j] = here
+    return out
+
+
+def build_tree(
+    grammar: Grammar, words: Sentence, root: Node, pick: Callable[[Node], Edge]
+) -> Tree:
+    """The tree in which each item is built by the edge ``pick`` gives it.
+
+    ``pick`` is called once per nonterminal item in leftmost pre-order:
+    a parent before its children, a left subtree before its right
+    sibling. That is the order of a leftmost top-down derivation, so
+    ``pick`` may draw random numbers or replay recorded decisions. Spans
+    are set as nodes are made. An explicit stack does the walk, so tree
+    depth is not bounded by the interpreter's recursion limit.
+    """
+    top: list[Tree | None] = [None]
+    # (item, the parent's child list, the item's slot in it)
+    stack: list[tuple[Node, list, int]] = [(root, top, 0)]
+    while stack:
+        item, siblings, slot = stack.pop()
+        nt, i, j = item
+        rid, split = pick(item)
+        rhs = grammar.rules[rid].rhs
+        if len(rhs) == 1:
+            only = rhs[0]
+            children: list[Tree | str | None] = [words[i] if only.terminal else None]
+            if not only.terminal:
+                stack.append(((only.id, i, j), children, 0))
+        else:
+            left, right = rhs
+            children = [
+                words[i] if left.terminal else None,
+                words[split] if right.terminal else None,
+            ]
+            if not right.terminal:
+                stack.append(((right.id, split, j), children, 1))
+            if not left.terminal:
+                stack.append(((left.id, i, split), children, 0))
+        siblings[slot] = Tree(grammar.nonterminals.text(nt), children, (i, j))
+    tree = top[0]
+    assert tree is not None
+    return tree
+
+
 def build_hypergraph(grammar: Grammar, words: Sentence) -> Hypergraph:
     """Derivable-and-reachable chart of items for ``words``.
 
@@ -66,107 +197,39 @@ def build_hypergraph(grammar: Grammar, words: Sentence) -> Hypergraph:
     n = len(words)
     if n == 0:
         raise DataError("cannot build a hypergraph for an empty sentence")
-    word_ids = terminal_ids(grammar, words)
-    derivable: set[Node] = set()
-    edges: dict[Node, list[Edge]] = {}
-
-    def child_ok(sym, a: int, b: int) -> bool:
-        if sym.terminal:
-            return b == a + 1 and word_ids[a] == sym.id
-        return (sym.id, a, b) in derivable
-
-    lexical = [rid for rid, r in enumerate(grammar.rules) if r.is_lexical]
-    binary = [rid for rid, r in enumerate(grammar.rules) if r.is_binary]
-    unary = grammar.unary_rule_order()
-
-    for length in range(1, n + 1):
-        for i in range(n - length + 1):
-            j = i + length
-            found: dict[Node, list[Edge]] = {}
-
-            def add(node: Node, edge: Edge) -> None:
-                found.setdefault(node, []).append(edge)
-
-            if length == 1:
-                for rid in lexical:
-                    rule = grammar.rules[rid]
-                    if word_ids[i] == rule.rhs[0].id:
-                        add((rule.lhs, i, j), (rid, -1))
-            for rid in binary:
-                rule = grammar.rules[rid]
-                for m in range(i + 1, j):
-                    if child_ok(rule.rhs[0], i, m) and child_ok(rule.rhs[1], m, j):
-                        add((rule.lhs, i, j), (rid, m))
-            derivable.update(found)
-            for rid in unary:
-                rule = grammar.rules[rid]
-                child = (rule.rhs[0].id, i, j)
-                if child in derivable:
-                    node = (rule.lhs, i, j)
-                    add(node, (rid, -1))
-                    derivable.add(node)
-            for node, node_edges in found.items():
-                edges.setdefault(node, []).extend(node_edges)
-
     root = (grammar.root, 0, n)
-    if root not in derivable:
+    # Backwards, every edge of an item comes after all edges that use it,
+    # so the reachable set is complete for an item when its edges come up.
+    reachable = {root}
+    kept: list[Derivation] = []
+    for derivation in reversed(derivations(grammar, words)):
+        head, _, tails = derivation
+        if head in reachable:
+            reachable.update(tails)
+            kept.append(derivation)
+    if not kept:
         return Hypergraph(grammar, words)
-
-    scratch = Hypergraph(grammar, words, derivable, edges)
-    reachable: set[Node] = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node in reachable:
-            continue
-        reachable.add(node)
-        for edge in edges.get(node, []):
-            for tail in scratch.edge_tails(node, edge):
-                if tail not in reachable:
-                    stack.append(tail)
-
-    kept_edges = {
-        node: sorted(edges[node]) for node in reachable if node in edges
-    }
-    return Hypergraph(grammar, words, reachable, kept_edges, root)
+    kept.reverse()
+    edges: dict[Node, list[Edge]] = {}
+    for head, edge, _ in kept:
+        edges.setdefault(head, []).append(edge)
+    for node_edges in edges.values():
+        node_edges.sort()
+    return Hypergraph(grammar, words, reachable, edges, root, kept)
 
 
 def count_trees(hg: Hypergraph) -> int:
     """Number of complete trees the hypergraph encodes (exact big-int DP)."""
     if hg.empty:
         return 0
-    memo: dict[Node, int] = {}
-
-    def count(node: Node) -> int:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        memo[node] = 0  # placeholder; acyclic by span/unary order
-        total = 0
-        for edge in hg.edges[node]:
-            prod = 1
-            for tail in hg.edge_tails(node, edge):
-                prod *= count(tail)
-            total += prod
-        memo[node] = total
-        return total
-
+    counts: dict[Node, int] = {}
+    for head, _, tails in hg.derivations:
+        product = 1
+        for tail in tails:
+            product *= counts[tail]
+        counts[head] = counts.get(head, 0) + product
     assert hg.root is not None
-    return count(hg.root)
-
-
-def subtree_from_edge(hg: Hypergraph, node: Node, edge: Edge, children: list[Tree]) -> Tree:
-    """Assemble the tree node for ``edge`` given built nonterminal subtrees."""
-    rule = hg.grammar.rules[edge[0]]
-    _, i, j = node
-    out: list[Tree | str] = []
-    child_iter = iter(children)
-    for sym, (a, b) in zip(rule.rhs, _child_spans(rule, i, j, edge[1])):
-        if sym.terminal:
-            out.append(hg.words[a])
-        else:
-            out.append(next(child_iter))
-    return Tree(hg.grammar.nonterminals.text(node[0]), out)
+    return counts[hg.root]
 
 
 def enumerate_trees(hg: Hypergraph, limit: int | None = None) -> Iterator[Tree]:
@@ -177,30 +240,22 @@ def enumerate_trees(hg: Hypergraph, limit: int | None = None) -> Iterator[Tree]:
     """
     if hg.empty:
         return
-    produced = 0
-
-    def expand(node: Node) -> Iterator[Tree]:
-        for edge in hg.edges[node]:
-            tails = hg.edge_tails(node, edge)
-            if not tails:
-                yield subtree_from_edge(hg, node, edge, [])
-                continue
-            for combo in _product_trees(tails):
-                yield subtree_from_edge(hg, node, edge, combo)
-
-    def _product_trees(tails: list[Node]) -> Iterator[list[Tree]]:
-        if len(tails) == 1:
-            for t in expand(tails[0]):
-                yield [t]
-            return
-        for left in expand(tails[0]):
-            for rest in _product_trees(tails[1:]):
-                yield [left] + rest
-
     assert hg.root is not None
-    for tree in expand(hg.root):
+    produced = 0
+    # A state is the edges chosen so far in leftmost order and the items
+    # still open, leftmost first. Alternatives are pushed last edge first,
+    # so trees come out ordered by their edge choices in pre-order.
+    stack: list[tuple[tuple[Edge, ...], tuple[Node, ...]]] = [((), (hg.root,))]
+    while stack:
+        decisions, frontier = stack.pop()
+        if frontier:
+            item, rest = frontier[0], frontier[1:]
+            for edge in reversed(hg.edges[item]):
+                tails = tuple(hg.edge_tails(item, edge))
+                stack.append((decisions + (edge,), tails + rest))
+            continue
         produced += 1
         if limit is not None and produced > limit:
             raise DataError(f"more than {limit} trees in hypergraph")
-        annotate_spans(tree)
-        yield tree
+        replay = iter(decisions)
+        yield build_tree(hg.grammar, hg.words, hg.root, lambda _: next(replay))

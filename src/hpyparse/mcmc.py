@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .hypergraph import Edge, Hypergraph, Node, subtree_from_edge
+from .hypergraph import Edge, Hypergraph, Node, build_tree
 from .model import TrainedModel
 from .pcfg import NEG_INF, InsideChart, inside, sample_tree, sentence_log_prob
-from .trees import Sentence, Tree, annotate_spans
+from .trees import Sentence, Tree
 
 
 @dataclass
@@ -107,48 +107,19 @@ def span_count_objective(stats: SampleStats, tree: Tree, grammar) -> int:
 def mbr_decode(stats: SampleStats, hg: Hypergraph) -> Tree:
     """Tree in the hypergraph maximizing the summed span-label counts.
 
-    Dynamic program over items by increasing span, applying unary edges
-    child-before-parent within a span; ties break on (rule id, split).
+    Max-plus fold over the hypergraph's bottom-up edge list, each item
+    adding its own span count; ties break on (rule id, split).
     """
     if hg.empty:
         raise DataError("cannot decode over an empty hypergraph")
-    grammar = hg.grammar
-    unary_rank = {rid: k for k, rid in enumerate(grammar.unary_rule_order())}
-
-    def node_order(node: Node) -> tuple[int, int, int]:
-        nt, i, j = node
-        best_unary = min(
-            (unary_rank[e[0]] for e in hg.edges[node] if e[0] in unary_rank),
-            default=-1,
-        )
-        # All-binary/lexical nodes first, then unary heads in rule order.
-        return (j - i, best_unary, nt)
-
-    value: dict[Node, int] = {}
-    choice: dict[Node, Edge] = {}
-    for node in sorted(hg.nodes, key=node_order):
-        best: tuple[int, Edge] | None = None
-        for edge in hg.edges[node]:
-            tails = hg.edge_tails(node, edge)
-            if any(t not in value for t in tails):
-                continue  # unary head whose child is ordered later; other edges cover it
-            total = sum(value[t] for t in tails)
-            if best is None or total > best[0] or (total == best[0] and edge < best[1]):
-                best = (total, edge)
-        if best is None:
-            raise DataError("hypergraph node has no scoreable edge")
-        value[node] = stats.span_counts.get(node, 0) + best[0]
-        choice[node] = best[1]
-
-    def build(node: Node) -> Tree:
-        edge = choice[node]
-        tails = hg.edge_tails(node, edge)
-        return subtree_from_edge(hg, node, edge, [build(t) for t in tails])
-
+    best: dict[Node, tuple[int, Edge]] = {}
+    for head, edge, tails in hg.derivations:
+        total = stats.span_counts.get(head, 0) + sum(best[t][0] for t in tails)
+        got = best.get(head)
+        if got is None or total > got[0] or (total == got[0] and edge < got[1]):
+            best[head] = (total, edge)
     assert hg.root is not None
-    tree = build(hg.root)
-    annotate_spans(tree)
-    return tree
+    return build_tree(hg.grammar, hg.words, hg.root, lambda item: best[item][1])
 
 
 def most_frequent_tree(samples: list[Tree]) -> tuple[Tree, int]:

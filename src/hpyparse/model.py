@@ -70,6 +70,7 @@ class TrainStats:
     num_terminals: int
     final_objective: float
     optimizer_iterations: int
+    optimizer_converged: bool  # True also when no fit was asked for
 
 
 @dataclass
@@ -183,6 +184,7 @@ def train_model(
     replaced, mapper = replace_rare_words(binarized, config.rare_threshold)
     trees = [tree for _, tree in replaced]
     grammar = build_grammar(trees)
+    mapper.terminals = frozenset(grammar.terminals.texts())
     pcfg = estimate_mle(grammar, trees)
     base = make_base(config.base_variant, pcfg)
 
@@ -206,6 +208,7 @@ def train_model(
             ),
         )
         params, objective, iterations = result.params, result.objective, result.iterations
+        converged = result.converged
     else:
         params = DepthParams.uniform(
             trie.depth_count(),
@@ -214,7 +217,7 @@ def train_model(
             gamma_shape=config.gamma_shape,
             gamma_rate=config.gamma_rate,
         )
-        objective, iterations = float("nan"), 0
+        objective, iterations, converged = float("nan"), 0, True
 
     model = TrainedModel(
         grammar=grammar,
@@ -235,5 +238,6 @@ def train_model(
         num_terminals=len(grammar.terminals),
         final_objective=objective,
         optimizer_iterations=iterations,
+        optimizer_converged=converged,
     )
     return model, stats

@@ -14,13 +14,13 @@ children precede parents (cyclic unary grammars are rejected upstream).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DataError
-from .grammar import Grammar, Sym
-from .trees import Sentence, Tree, annotate_spans
+from .grammar import Grammar
+from .hypergraph import Derivation, Edge, Node, build_tree, derivations
+from .trees import Sentence, Tree
 from .events import node_rule
 
 NEG_INF = float("-inf")
@@ -38,24 +38,6 @@ class Pcfg:
         self.log_probs = np.full(len(self.rule_probs), NEG_INF)
         seen = self.rule_probs > 0
         self.log_probs[seen] = np.log(self.rule_probs[seen])
-
-    @cached_property
-    def lexical_index(self) -> dict[int, list[int]]:
-        """terminal id -> lexical rule ids."""
-        out: dict[int, list[int]] = {}
-        for rid, rule in enumerate(self.grammar.rules):
-            if rule.is_lexical:
-                out.setdefault(rule.rhs[0].id, []).append(rid)
-        return out
-
-    @cached_property
-    def binary_rules(self) -> list[int]:
-        return [rid for rid, r in enumerate(self.grammar.rules) if r.is_binary]
-
-    @cached_property
-    def unary_rules(self) -> list[int]:
-        """Unary nonterminal rules, children-before-parents."""
-        return self.grammar.unary_rule_order()
 
     def joint_rule_probs(self) -> np.ndarray:
         """P(lhs) * P(rule | lhs), a single distribution over all rules."""
@@ -85,24 +67,18 @@ def estimate_mle(grammar: Grammar, trees: list[Tree]) -> Pcfg:
     return Pcfg(grammar, probs, lhs_totals / total)
 
 
-def terminal_ids(grammar: Grammar, words: Sentence) -> list[int]:
-    """Map words to terminal ids; unknown words get -1 (match nothing)."""
-    return [
-        grammar.terminals.id(w) if w in grammar.terminals else -1 for w in words
-    ]
-
-
 @dataclass
 class InsideChart:
     """Dense log-probability table over (nonterminal, start, end)."""
 
     scores: np.ndarray  # [num_nts, n+1, n+1]
     mode: str  # "sum" or "max"
-    word_ids: list[int] = field(default_factory=list)
+    # the edges folded into ``scores``, as ``derivations`` lists them
+    derivations: list[Derivation] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        # per-cell sampling options, shared across repeated draws
-        self._options: dict[tuple[int, int, int], tuple[list, np.ndarray]] = {}
+        # per-item sampling options, shared across repeated draws
+        self._options: dict[Node, tuple[list[Edge], np.ndarray]] = {}
 
     def log_prob(self, nt: int, i: int, j: int) -> float:
         return float(self.scores[nt, i, j])
@@ -112,12 +88,15 @@ class InsideChart:
         return self.scores.shape[1] - 1
 
 
-def _child_score(
-    chart: np.ndarray, sym: Sym, i: int, j: int, word_ids: list[int]
-) -> float:
-    if sym.terminal:
-        return 0.0 if (j == i + 1 and word_ids[i] == sym.id) else NEG_INF
-    return float(chart[sym.id, i, j])
+def _edge_score(pcfg: Pcfg, scores, edge: Edge, tails: tuple[Node, ...]) -> float:
+    """Rule log-probability plus the tails' scores, added left to right.
+
+    ``scores`` is indexed by item: a chart array or a dict.
+    """
+    total = pcfg.log_probs[edge[0]]
+    for tail in tails:
+        total = total + scores[tail]
+    return total
 
 
 def inside(pcfg: Pcfg, words: Sentence, mode: str = "sum") -> InsideChart:
@@ -128,44 +107,15 @@ def inside(pcfg: Pcfg, words: Sentence, mode: str = "sum") -> InsideChart:
     """
     if mode not in ("sum", "max"):
         raise ValueError(f"bad chart mode {mode!r}")
-    grammar = pcfg.grammar
     n = len(words)
     if n == 0:
         raise DataError("cannot build a chart for an empty sentence")
-    word_ids = terminal_ids(grammar, words)
-    chart = np.full((len(grammar.nonterminals), n + 1, n + 1), NEG_INF)
+    chart = np.full((len(pcfg.grammar.nonterminals), n + 1, n + 1), NEG_INF)
     combine = np.logaddexp if mode == "sum" else max
-
-    for length in range(1, n + 1):
-        for i in range(n - length + 1):
-            j = i + length
-            if length == 1:
-                for rid in pcfg.lexical_index.get(word_ids[i], []):
-                    lhs = grammar.rules[rid].lhs
-                    chart[lhs, i, j] = combine(chart[lhs, i, j], pcfg.log_probs[rid])
-            for rid in pcfg.binary_rules:
-                rule = grammar.rules[rid]
-                logp = pcfg.log_probs[rid]
-                if logp == NEG_INF:
-                    continue
-                left, right = rule.rhs
-                for m in range(i + 1, j):
-                    ls = _child_score(chart, left, i, m, word_ids)
-                    if ls == NEG_INF:
-                        continue
-                    rs = _child_score(chart, right, m, j, word_ids)
-                    if rs == NEG_INF:
-                        continue
-                    cand = logp + ls + rs
-                    chart[rule.lhs, i, j] = combine(chart[rule.lhs, i, j], cand)
-            for rid in pcfg.unary_rules:
-                rule = grammar.rules[rid]
-                logp = pcfg.log_probs[rid]
-                child = chart[rule.rhs[0].id, i, j]
-                if logp == NEG_INF or child == NEG_INF:
-                    continue
-                chart[rule.lhs, i, j] = combine(chart[rule.lhs, i, j], logp + child)
-    return InsideChart(chart, mode, word_ids)
+    edges = derivations(pcfg.grammar, words, pcfg.log_probs > NEG_INF)
+    for head, edge, tails in edges:
+        chart[head] = combine(chart[head], _edge_score(pcfg, chart, edge, tails))
+    return InsideChart(chart, mode, edges)
 
 
 def sentence_log_prob(pcfg: Pcfg, chart: InsideChart) -> float:
@@ -179,67 +129,19 @@ def cyk_viterbi(pcfg: Pcfg, words: Sentence) -> Tree | None:
     Ties are broken deterministically: lowest rule id, then lowest split.
     """
     grammar = pcfg.grammar
-    n = len(words)
-    word_ids = terminal_ids(grammar, words)
-    chart = np.full((len(grammar.nonterminals), n + 1, n + 1), NEG_INF)
-    # back[(lhs, i, j)] = (rule id, split or -1); unary steps recurse in place
-    back: dict[tuple[int, int, int], tuple[int, int]] = {}
-
-    def consider(lhs: int, i: int, j: int, cand: float, rid: int, split: int) -> None:
-        key = (lhs, i, j)
-        cur = chart[lhs, i, j]
-        if cand > cur or (cand == cur and cand > NEG_INF and (rid, split) < back[key]):
-            chart[lhs, i, j] = cand
-            back[key] = (rid, split)
-
-    for length in range(1, n + 1):
-        for i in range(n - length + 1):
-            j = i + length
-            if length == 1:
-                for rid in pcfg.lexical_index.get(word_ids[i], []):
-                    consider(grammar.rules[rid].lhs, i, j, pcfg.log_probs[rid], rid, -1)
-            for rid in pcfg.binary_rules:
-                rule = grammar.rules[rid]
-                logp = pcfg.log_probs[rid]
-                if logp == NEG_INF:
-                    continue
-                left, right = rule.rhs
-                for m in range(i + 1, j):
-                    ls = _child_score(chart, left, i, m, word_ids)
-                    if ls == NEG_INF:
-                        continue
-                    rs = _child_score(chart, right, m, j, word_ids)
-                    if rs == NEG_INF:
-                        continue
-                    consider(rule.lhs, i, j, logp + ls + rs, rid, m)
-            for rid in pcfg.unary_rules:
-                rule = grammar.rules[rid]
-                logp = pcfg.log_probs[rid]
-                child = chart[rule.rhs[0].id, i, j]
-                if logp > NEG_INF and child > NEG_INF:
-                    consider(rule.lhs, i, j, logp + child, rid, -1)
-
     assert grammar.root is not None
-    if chart[grammar.root, 0, n] == NEG_INF:
+    scores: dict[Node, float] = {}
+    back: dict[Node, Edge] = {}
+    for head, edge, tails in derivations(grammar, words, pcfg.log_probs > NEG_INF):
+        score = _edge_score(pcfg, scores, edge, tails)
+        got = scores.get(head)
+        if got is None or score > got or (score == got and edge < back[head]):
+            scores[head] = score
+            back[head] = edge
+    root = (grammar.root, 0, len(words))
+    if root not in back:
         return None
-
-    def build(lhs: int, i: int, j: int) -> Tree:
-        rid, split = back[(lhs, i, j)]
-        rule = grammar.rules[rid]
-        label = grammar.nonterminals.text(lhs)
-        if rule.is_lexical:
-            return Tree(label, [words[i]])
-        if rule.is_unary:
-            return Tree(label, [build(rule.rhs[0].id, i, j)])
-        children: list[Tree | str] = []
-        bounds = [(i, split), (split, j)]
-        for sym, (a, b) in zip(rule.rhs, bounds):
-            children.append(words[a] if sym.terminal else build(sym.id, a, b))
-        return Tree(label, children)
-
-    tree = build(grammar.root, 0, n)
-    annotate_spans(tree)
-    return tree
+    return build_tree(grammar, words, root, back.__getitem__)
 
 
 def sample_tree(
@@ -253,72 +155,31 @@ def sample_tree(
     if chart.mode != "sum":
         raise ValueError("sampling requires a sum-mode inside chart")
     grammar = pcfg.grammar
-    word_ids = chart.word_ids
     assert grammar.root is not None
     if chart.log_prob(grammar.root, 0, chart.n) == NEG_INF:
         raise DataError("sentence has no derivation under the proposal grammar")
+    options = chart._options
+    if not options:
+        weights: dict[Node, tuple[list[Edge], list[float]]] = {}
+        for head, edge, tails in chart.derivations:
+            head_edges, head_weights = weights.setdefault(head, ([], []))
+            head_edges.append(edge)
+            head_weights.append(_edge_score(pcfg, chart.scores, edge, tails))
+        for head, (head_edges, head_weights) in weights.items():
+            logw = np.array(head_weights)
+            probs = np.exp(logw - logw.max())
+            probs /= probs.sum()
+            options[head] = (head_edges, probs)
     log_q = 0.0
 
-    def cell_options(lhs: int, i: int, j: int) -> tuple[list, np.ndarray]:
-        key = (lhs, i, j)
-        cached = chart._options.get(key)
-        if cached is not None:
-            return cached
-        options: list[tuple[int, int]] = []  # (rule id, split or -1)
-        weights: list[float] = []
-        if j == i + 1:
-            for rid in pcfg.lexical_index.get(word_ids[i], []):
-                if grammar.rules[rid].lhs == lhs and pcfg.log_probs[rid] > NEG_INF:
-                    options.append((rid, -1))
-                    weights.append(pcfg.log_probs[rid])
-        for rid in pcfg.binary_rules:
-            rule = grammar.rules[rid]
-            if rule.lhs != lhs or pcfg.log_probs[rid] == NEG_INF:
-                continue
-            left, right = rule.rhs
-            for m in range(i + 1, j):
-                ls = _child_score(chart.scores, left, i, m, word_ids)
-                if ls == NEG_INF:
-                    continue
-                rs = _child_score(chart.scores, right, m, j, word_ids)
-                if rs == NEG_INF:
-                    continue
-                options.append((rid, m))
-                weights.append(pcfg.log_probs[rid] + ls + rs)
-        for rid in pcfg.unary_rules:
-            rule = grammar.rules[rid]
-            if rule.lhs != lhs or pcfg.log_probs[rid] == NEG_INF:
-                continue
-            child = chart.scores[rule.rhs[0].id, i, j]
-            if child > NEG_INF:
-                options.append((rid, -1))
-                weights.append(pcfg.log_probs[rid] + child)
-        if not options:
-            raise DataError("inside chart has a derivable cell with no options")
-        logw = np.array(weights)
-        probs = np.exp(logw - logw.max())
-        probs /= probs.sum()
-        chart._options[key] = (options, probs)
-        return options, probs
-
-    def sample_cell(lhs: int, i: int, j: int) -> Tree:
+    def pick(item: Node) -> Edge:
         nonlocal log_q
-        options, probs = cell_options(lhs, i, j)
-        rid, split = options[rng.choice(len(options), p=probs)]
-        rule = grammar.rules[rid]
-        log_q += float(pcfg.log_probs[rid])
-        label = grammar.nonterminals.text(lhs)
-        if rule.is_lexical:
-            return Tree(label, [words[i]])
-        if rule.is_unary:
-            return Tree(label, [sample_cell(rule.rhs[0].id, i, j)])
-        children: list[Tree | str] = []
-        for sym, (a, b) in zip(rule.rhs, [(i, split), (split, j)]):
-            children.append(words[a] if sym.terminal else sample_cell(sym.id, a, b))
-        return Tree(label, children)
+        item_edges, probs = options[item]
+        edge = item_edges[rng.choice(len(item_edges), p=probs)]
+        log_q += float(pcfg.log_probs[edge[0]])
+        return edge
 
-    tree = sample_cell(grammar.root, 0, chart.n)
-    annotate_spans(tree)
+    tree = build_tree(grammar, words, (grammar.root, 0, chart.n), pick)
     return tree, log_q
 
 

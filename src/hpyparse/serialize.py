@@ -25,7 +25,7 @@ import struct
 
 import numpy as np
 
-from .errors import ModelFormatError
+from .errors import GrammarError, ModelFormatError
 from .grammar import Grammar, Sym
 from .hpyp import ContextTrie, DepthParams, Restaurant
 from .model import TASK_PARSE, TASK_TAG, TrainedModel, make_base
@@ -228,7 +228,15 @@ def load_model(raw: bytes) -> TrainedModel:
     digest = raw[start + length :]
     if hashlib.sha256(payload).digest() != digest:
         raise ModelFormatError("checksum mismatch; model file is corrupted")
+    try:
+        return _read_payload(payload)
+    except (IndexError, ValueError, GrammarError) as exc:
+        # out-of-range ids and flags, bad UTF-8, an inconsistent grammar
+        # or base distribution: a payload written by no valid model
+        raise ModelFormatError(f"invalid model payload: {exc}") from exc
 
+
+def _read_payload(payload: bytes) -> TrainedModel:
     r = _Reader(payload)
     task = _TASKS[r.u8()]
     mode = _MODES[r.u8()]
@@ -277,7 +285,7 @@ def load_model(raw: bytes) -> TrainedModel:
         params=params,
         base=make_base(base_variant, pcfg),
         pcfg=pcfg,
-        mapper=SignatureMapper(known=known, threshold=threshold),
+        mapper=SignatureMapper(known, threshold, frozenset(grammar.terminals.texts())),
         context_cap=None if cap < 0 else cap,
     )
 

@@ -55,11 +55,22 @@ class SignatureMapper:
 
     known: set[str] = field(default_factory=set)
     threshold: int = 1
+    # Terminals of the trained grammar; empty while the training corpus
+    # is rewritten, before the grammar exists.
+    terminals: frozenset[str] = frozenset()
 
     def map_word(self, word: str, position: int) -> str:
+        """The word if known, else its signature.
+
+        A sentence-initial signature the grammar lacks (no rare training
+        word had it) falls back to the same signature without ``-init``.
+        """
         if word in self.known:
             return word
-        return word_signature(word, position == 0)
+        signature = word_signature(word, position == 0)
+        if self.terminals and signature not in self.terminals:
+            return word_signature(word, False)
+        return signature
 
     def map_sentence(self, words: Sentence) -> Sentence:
         return [self.map_word(w, i) for i, w in enumerate(words)]

@@ -1,7 +1,9 @@
+import functools
 import os
 
 import pytest
 
+import hpyparse.model
 from hpyparse.cli import main
 from hpyparse.pcfg import cyk_viterbi
 from hpyparse.serialize import load_model_file
@@ -313,3 +315,26 @@ def test_malformed_treebank_is_data_error(tmp_path, capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["train"]) == 1
     capsys.readouterr()
+
+
+def test_train_reports_optimizer_convergence(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "m.model")
+    code, out, err = run(["train", TRAIN, "--model", path], capsys)
+    assert code == 0
+    assert "optimizer-converged  yes" in out.splitlines()
+    assert "warning:" not in err
+
+    capped = functools.partial(hpyparse.model.optimize_params, max_iters=1)
+    monkeypatch.setattr(hpyparse.model, "optimize_params", capped)
+    code, out, err = run(["train", TRAIN, "--model", path], capsys)
+    assert code == 0
+    assert "optimizer-converged  no" in out.splitlines()
+    assert err.startswith("warning:")
+
+
+def test_garbage_model_is_data_error(tmp_path, capsys):
+    garbage = tmp_path / "garbage.model"
+    garbage.write_bytes(b"\x00 not a model \xff" * 20)
+    code, _, err = run(["predict", SENTS, "--model", str(garbage)], capsys)
+    assert code == 2
+    assert err.startswith("data error:")

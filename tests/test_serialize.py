@@ -1,5 +1,10 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from hpyparse.errors import ModelFormatError
 from hpyparse.model import TrainConfig, train_model
@@ -80,3 +85,28 @@ def test_context_cap_round_trips(toy_model):
     capped = dataclasses.replace(toy_model, context_cap=2)
     again = load_model(save_model(capped))
     assert again.context_cap == 2
+
+
+def _redigest(blob: bytes, payload: bytes) -> bytes:
+    """``blob`` with its payload replaced and the length and digest fixed."""
+    header = blob[: len(MAGIC) + 2]
+    return header + struct.pack("<Q", len(payload)) + payload + hashlib.sha256(payload).digest()
+
+
+@seed(20150309)
+@settings(max_examples=300)
+@given(
+    st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, 255)), min_size=1, max_size=3)
+)
+@example([(0, 7)])  # task flag out of range
+def test_payload_corruption_raises_only_model_format_error(toy_model, mutations):
+    # A valid digest over a mutated payload must load or be refused as a
+    # model format error; any other exception is an internal error.
+    blob = save_model(toy_model)
+    payload = bytearray(blob[len(MAGIC) + 10 : -32])
+    for pos, value in mutations:
+        payload[pos % len(payload)] = value
+    try:
+        load_model(_redigest(blob, bytes(payload)))
+    except ModelFormatError:
+        pass

@@ -1,13 +1,16 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hpyparse.model import TrainConfig, train_model
+from hpyparse.pcfg import cyk_viterbi
+from hpyparse.serialize import load_model, save_model
 from hpyparse.signatures import (
     SignatureMapper,
     count_words,
     replace_rare_words,
     word_signature,
 )
-from hpyparse.trees import read_tree
+from hpyparse.trees import read_tree, read_treebank
 
 from .strategies import token_text
 
@@ -98,3 +101,20 @@ def test_mapper_sentence_positions():
     out = mapper.map_sentence(["Deep", "Deep"])
     assert out[0].endswith("-init")
     assert not out[1].endswith("-init")
+
+
+def test_missing_initial_signature_falls_back_to_plain_signature():
+    # Every rare word is non-initial, so the grammar has UNK but no UNK-init.
+    corpus, _ = read_treebank(
+        "(S (NP (NN john)) (VP (VB saw) (NP (NN mary))))\n"
+        "(S (NP (NN john)) (VP (VB saw) (NP (NN bill))))\n"
+        "(S (NP (NN john)) (VP (VB saw) (NP (NN sue))))\n"
+    )
+    model, _ = train_model(corpus, TrainConfig(rare_threshold=1, optimize=False))
+    assert set(model.grammar.terminals.texts()) == {"john", "saw", "UNK"}
+    for mapper in (model.mapper, load_model(save_model(model)).mapper):
+        assert mapper.map_sentence(["bob", "saw", "tom"]) == ["UNK", "saw", "UNK"]
+    assert cyk_viterbi(model.pcfg, model.mapper.map_sentence(["bob", "saw", "john"]))
+    # an initial signature the grammar has is kept
+    mapper = SignatureMapper({"john"}, 1, frozenset({"john", "UNK", "UNK-init"}))
+    assert mapper.map_sentence(["bob", "john"]) == ["UNK-init", "john"]
