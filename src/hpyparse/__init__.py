@@ -15,7 +15,8 @@ from .hypergraph import Hypergraph, build_hypergraph
 from .astar import astar_parse, heuristic_full_frontier, heuristic_local_frontier
 from .mcmc import SampleStats, mbr_decode, mh_sample
 from .metrics import exact_match, labelled_f1, sentence_accuracy, token_accuracy
-from .model import TrainConfig, TrainedModel, train_model
+from .config import RunConfig
+from .model import TrainedModel, train_model
 from .serialize import load_model, load_model_file, save_model, save_model_file
 
 __all__ = [
@@ -56,7 +57,7 @@ __all__ = [
     "exact_match",
     "token_accuracy",
     "sentence_accuracy",
-    "TrainConfig",
+    "RunConfig",
     "TrainedModel",
     "train_model",
     "save_model",

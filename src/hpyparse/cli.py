@@ -30,7 +30,7 @@ from .metrics import (
     sentence_accuracy,
     token_accuracy,
 )
-from .model import TrainConfig, TrainedModel, train_model
+from .model import TrainedModel, train_model
 from .pcfg import NEG_INF, cyk_viterbi, inside, sentence_log_prob
 from .serialize import load_model_file, save_model_file
 from .transforms import pos_to_tree, tree_to_pos, unbinarize_right
@@ -147,18 +147,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         corpus, _ = read_treebank(text)
     if not corpus:
         raise DataError(f"no training instances in {args.input}")
-    train_config = TrainConfig(
-        context_mode=config.context_mode,
-        base_variant=config.base,
-        rare_threshold=config.rare_threshold,
-        task=config.task,
-        beta_a=config.beta_a,
-        beta_b=config.beta_b,
-        gamma_shape=config.gamma_shape,
-        gamma_rate=config.gamma_rate,
-    )
-    model, stats = train_model(corpus, train_config)
-    model.context_cap = config.context_cap
+    model, stats = train_model(corpus, config)
     save_model_file(model, args.model)
     print(f"trees            {stats.num_trees}")
     print(f"events           {stats.num_events}")
@@ -204,8 +193,8 @@ def _decode_one(model: TrainedModel, words: list[str], config: RunConfig, index:
     else:
         hg = build_hypergraph(model.grammar, mapped)
         if not hg.empty:
+            chart = inside(model.pcfg, mapped, "sum")
             if config.decoder in ("astar-full", "astar-local"):
-                chart = inside(model.pcfg, mapped, config.inside_mode)
                 result = astar_parse(
                     model,
                     hg,
@@ -217,14 +206,12 @@ def _decode_one(model: TrainedModel, words: list[str], config: RunConfig, index:
                 note = f"pops={result.pops} pushes={result.pushes}"
                 if result.used_fallback:
                     note += " fallback=cyk"
-            else:  # mcmc
-                chart = inside(model.pcfg, mapped, "sum")
-                if sentence_log_prob(model.pcfg, chart) > NEG_INF:
-                    stats, _, _ = mh_sample(
-                        model, mapped, config.iters, config.burn_in, rng, chart
-                    )
-                    tree = mbr_decode(stats, hg)
-                    note = f"accept-rate={stats.acceptance_rate:.3f}"
+            elif sentence_log_prob(model.pcfg, chart) > NEG_INF:  # mcmc
+                stats, _, _ = mh_sample(
+                    model, mapped, config.iters, config.burn_in, rng, chart
+                )
+                tree = mbr_decode(stats, hg)
+                note = f"accept-rate={stats.acceptance_rate:.3f}"
     seconds = time.perf_counter() - start
     if tree is None:
         if model.task == "tag":

@@ -22,7 +22,6 @@ class RunConfig:
     rare_threshold: int = 1
     max_len: int | None = None
     context_cap: int | None = None
-    inside_mode: str = "sum"
     workers: int = 1
     # hyperpriors on the per-depth discount (Beta) / concentration (Gamma)
     beta_a: float = 1.0
@@ -41,8 +40,6 @@ class RunConfig:
             raise UsageError(f"unknown decoder {self.decoder!r}; pick one of {DECODERS}")
         if self.rare_threshold < 0:
             raise UsageError("rare-threshold must be >= 0")
-        if self.inside_mode not in ("sum", "max"):
-            raise UsageError(f"inside_mode must be sum or max, not {self.inside_mode!r}")
         if self.workers < 1:
             raise UsageError("workers must be >= 1")
         if self.max_len is not None and self.max_len < 1:

@@ -13,7 +13,7 @@ ancestor first and nearest last. Two context alphabets are supported:
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import DataError
 from .grammar import Grammar, Rule, Sym
@@ -76,8 +76,9 @@ def extract_events(tree: Tree, grammar: Grammar, mode: str = NONTERMINAL_CONTEXT
     if mode not in CONTEXT_MODES:
         raise ValueError(f"unknown context mode {mode!r}")
     events: list[Event] = []
-
-    def walk(node: Tree, context: tuple[int, ...]) -> None:
+    stack: list[tuple[Tree, tuple[int, ...]]] = [(tree, ())]
+    while stack:
+        node, context = stack.pop()
         rule = node_rule(grammar, node)
         rule_id = grammar.rule_id(rule)
         if mode == NONTERMINAL_CONTEXT:
@@ -85,19 +86,11 @@ def extract_events(tree: Tree, grammar: Grammar, mode: str = NONTERMINAL_CONTEXT
         else:
             here = context
         events.append(Event(here, rule_id))
-        for slot, child in enumerate(node.children):
+        for slot in reversed(range(len(node.children))):
+            child = node.children[slot]
             if isinstance(child, Tree):
                 if mode == NONTERMINAL_CONTEXT:
-                    walk(child, here)
+                    stack.append((child, here))
                 else:
-                    walk(child, context + (rule_context_element(rule_id, slot),))
-
-    walk(tree, ())
+                    stack.append((child, context + (rule_context_element(rule_id, slot),)))
     return events
-
-
-def iter_corpus_events(
-    corpus_trees: Iterator[Tree] | list[Tree], grammar: Grammar, mode: str
-) -> Iterator[Event]:
-    for tree in corpus_trees:
-        yield from extract_events(tree, grammar, mode)

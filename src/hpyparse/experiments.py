@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .hypergraph import build_hypergraph, enumerate_trees
-from .model import TASK_TAG, TrainConfig, TrainedModel, train_model
+from .model import TASK_TAG, TrainedModel, train_model
 from .pcfg import cyk_viterbi
 from .synthetic import TagChainSpec, generate_tag_corpus
 from .transforms import pos_to_tree
@@ -69,7 +70,7 @@ def run_depth_effect(
     train, test = corpus[:train_size], corpus[train_size:]
 
     train_trees = [(words, pos_to_tree(tags, words)) for words, tags in train]
-    model, _ = train_model(train_trees, TrainConfig(task=TASK_TAG))
+    model, _ = train_model(train_trees, RunConfig(task=TASK_TAG))
 
     labels = ["pcfg"] + [f"cap{c}" if c is not None else "unbounded" for c in caps]
     correct = {label: 0 for label in labels}

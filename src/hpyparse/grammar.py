@@ -129,9 +129,6 @@ class Grammar:
             lhs = self.nonterminals.text(rule.lhs)
             raise KeyError(f"rule not in grammar: {lhs} -> {self.rhs_text(rule)}") from None
 
-    def has_rule(self, rule: Rule) -> bool:
-        return rule in self._rule_ids
-
     def rules_for(self, lhs: int) -> list[int]:
         return self.rules_by_lhs.get(lhs, [])
 

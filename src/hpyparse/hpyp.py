@@ -184,34 +184,11 @@ class ContextTrie:
         dish: int,
         params: DepthParams,
         base: BaseDistribution,
-        context_cap: int | None = None,
     ) -> float:
-        """P(dish | context) by recursive discounted interpolation.
-
-        Starting from the base probability, each stored level u applies
-
-            p = (n_d - d*t_d)/(n + c) + (c + d*t)/(n + c) * p_parent
-
-        with (d, c) taken from the level's depth. Empty restaurants pass
-        the parent value through unchanged, which also covers queries
-        deeper than anything stored.
-        """
+        """P(dish | context): ``predictive_probs`` for a single dish."""
         if not 0 <= dish < self.num_dishes:
             raise KeyError(f"dish {dish} outside vocabulary of {self.num_dishes}")
-        if context_cap is not None:
-            context = context[-context_cap:] if context_cap > 0 else ()
-        prob = base.prob(dish)
-        for depth, restaurant in enumerate(self.chain(context)):
-            if restaurant.is_empty():
-                continue
-            discount, concentration = params.at(depth)
-            n_d = restaurant.customers.get(dish, 0)
-            t_d = restaurant.tables.get(dish, 0)
-            denom = restaurant.total_customers + concentration
-            prob = (n_d - discount * t_d) / denom + (
-                (concentration + discount * restaurant.total_tables) / denom
-            ) * prob
-        return prob
+        return float(self.predictive_probs(context, [dish], params, base)[0])
 
     def predictive_probs(
         self,
@@ -219,12 +196,18 @@ class ContextTrie:
         dishes: list[int],
         params: DepthParams,
         base: BaseDistribution,
-        context_cap: int | None = None,
     ) -> np.ndarray:
-        """Vectorized predictive_prob over several dishes (one path walk)."""
-        if context_cap is not None:
-            context = context[-context_cap:] if context_cap > 0 else ()
-        probs = np.array([base.prob(d) for d in dishes])
+        """P(dish | context) for each of ``dishes``, in one path walk.
+
+        Starting from the base probabilities, each stored level u applies
+
+            p = (n_d - d*t_d)/(n + c) + (c + d*t)/(n + c) * p_parent
+
+        with (d, c) taken from the level's depth. Empty restaurants pass
+        the parent value through unchanged, which also covers queries
+        deeper than anything stored.
+        """
+        probs = base.probs[dishes]
         for depth, restaurant in enumerate(self.chain(context)):
             if restaurant.is_empty():
                 continue
@@ -388,14 +371,3 @@ def _log_gamma_pdf(x: float, shape: float, rate: float) -> float:
     if shape != 1.0:
         out += (shape - 1.0) * math.log(x)
     return out
-
-
-def log_generalized_factorial(a: float, count: int, step: float) -> float:
-    """log of prod_{i=0}^{count-1} (a + i*step); empty products are one.
-
-    Spelled out for reference and tests; the likelihood uses the pooled
-    histogram form above.
-    """
-    if count <= 0:
-        return 0.0
-    return float(np.log(a + step * np.arange(count)).sum())

@@ -41,16 +41,6 @@ class BracketScore:
     compared: int
     skipped: int
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "exact_match": self.exact_match,
-            "compared": self.compared,
-            "skipped": self.skipped,
-        }
-
 
 def score_brackets(gold: list[Tree], pred: list[Tree]) -> BracketScore:
     """Micro-averaged precision/recall/F1 and exact bracketing match.

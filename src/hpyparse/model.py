@@ -18,16 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import DataError
-from .events import (
-    CONTEXT_MODES,
-    NONTERMINAL_CONTEXT,
-    extract_events,
-    register_rules,
-)
+from .events import NONTERMINAL_CONTEXT, extract_events, register_rules
 from .grammar import Grammar
 from .hpyp import BaseDistribution, ContextTrie, DepthParams
-from .optimize import OptimizeResult, optimize_params
+from .optimize import optimize_params
 from .pcfg import Pcfg, estimate_mle
 from .signatures import SignatureMapper, replace_rare_words
 from .transforms import binarize_right
@@ -35,29 +31,6 @@ from .trees import Sentence, Tree
 
 TASK_PARSE = "parse"
 TASK_TAG = "tag"
-
-
-@dataclass
-class TrainConfig:
-    context_mode: str = NONTERMINAL_CONTEXT
-    base_variant: str = BaseDistribution.MLE_PCFG
-    rare_threshold: int = 1
-    task: str = TASK_PARSE
-    optimize: bool = True
-    beta_a: float = 1.0
-    beta_b: float = 1.0
-    gamma_shape: float = 1.0
-    gamma_rate: float = 1.0
-
-    def validate(self) -> None:
-        if self.context_mode not in CONTEXT_MODES:
-            raise DataError(f"unknown context mode {self.context_mode!r}")
-        if self.base_variant not in (BaseDistribution.UNIFORM, BaseDistribution.MLE_PCFG):
-            raise DataError(f"unknown base distribution {self.base_variant!r}")
-        if self.rare_threshold < 0:
-            raise DataError("rare threshold must be >= 0")
-        if self.task not in (TASK_PARSE, TASK_TAG):
-            raise DataError(f"unknown task {self.task!r}")
 
 
 @dataclass
@@ -70,7 +43,7 @@ class TrainStats:
     num_terminals: int
     final_objective: float
     optimizer_iterations: int
-    optimizer_converged: bool  # True also when no fit was asked for
+    optimizer_converged: bool
 
 
 @dataclass
@@ -93,18 +66,23 @@ class TrainedModel:
 
     # -- probabilities ---------------------------------------------------
 
+    def _capped(self, context: tuple[int, ...]) -> tuple[int, ...]:
+        """The context's last ``context_cap`` elements (all when uncapped)."""
+        if self.context_cap is None:
+            return context
+        return context[max(len(context) - self.context_cap, 0) :]
+
     def predictive_prob(self, context: tuple[int, ...], rule_id: int) -> float:
         """Smoothed P(rule | context) over the whole rule vocabulary."""
         return self.trie.predictive_prob(
-            context, rule_id, self.params, self.base, self.context_cap
+            self._capped(context), rule_id, self.params, self.base
         )
 
     def expansion_log_probs(
         self, context: tuple[int, ...], lhs: int
     ) -> tuple[list[int], np.ndarray]:
         """Rule ids with lhs ``lhs`` and their renormalized log probabilities."""
-        if self.context_cap is not None:
-            context = context[-self.context_cap :] if self.context_cap > 0 else ()
+        context = self._capped(context)
         key = (context, lhs)
         got = self._expansion_cache.get(key)
         if got is not None:
@@ -168,15 +146,16 @@ def make_base(variant: str, pcfg: Pcfg) -> BaseDistribution:
 
 def train_model(
     corpus: list[tuple[Sentence, Tree]],
-    config: TrainConfig | None = None,
+    config: RunConfig | None = None,
 ) -> tuple[TrainedModel, TrainStats]:
     """Full training pipeline over raw (sentence, tree) pairs.
 
     Preprocessing order: right-binarize, then replace rare words; the
     grammar, events, and probability tables are all built from the
-    processed trees.
+    processed trees. The depth parameters are then fitted from the
+    config's hyperpriors, and the model keeps its ``context_cap``.
     """
-    config = config or TrainConfig()
+    config = config or RunConfig()
     config.validate()
     if not corpus:
         raise DataError("empty corpus")
@@ -186,7 +165,7 @@ def train_model(
     grammar = build_grammar(trees)
     mapper.terminals = frozenset(grammar.terminals.texts())
     pcfg = estimate_mle(grammar, trees)
-    base = make_base(config.base_variant, pcfg)
+    base = make_base(config.base, pcfg)
 
     trie = ContextTrie(num_dishes=grammar.num_rules)
     num_events = 0
@@ -195,39 +174,27 @@ def train_model(
             trie.insert(context, rule_id)
             num_events += 1
 
-    if config.optimize:
-        result: OptimizeResult = optimize_params(
-            trie,
-            base,
-            init=DepthParams.uniform(
-                trie.depth_count(),
-                beta_a=config.beta_a,
-                beta_b=config.beta_b,
-                gamma_shape=config.gamma_shape,
-                gamma_rate=config.gamma_rate,
-            ),
-        )
-        params, objective, iterations = result.params, result.objective, result.iterations
-        converged = result.converged
-    else:
-        params = DepthParams.uniform(
+    result = optimize_params(
+        trie,
+        base,
+        init=DepthParams.uniform(
             trie.depth_count(),
             beta_a=config.beta_a,
             beta_b=config.beta_b,
             gamma_shape=config.gamma_shape,
             gamma_rate=config.gamma_rate,
-        )
-        objective, iterations, converged = float("nan"), 0, True
-
+        ),
+    )
     model = TrainedModel(
         grammar=grammar,
         context_mode=config.context_mode,
         task=config.task,
         trie=trie,
-        params=params,
+        params=result.params,
         base=base,
         pcfg=pcfg,
         mapper=mapper,
+        context_cap=config.context_cap,
     )
     stats = TrainStats(
         num_trees=len(corpus),
@@ -236,8 +203,8 @@ def train_model(
         num_rules=grammar.num_rules,
         num_nonterminals=len(grammar.nonterminals),
         num_terminals=len(grammar.terminals),
-        final_objective=objective,
-        optimizer_iterations=iterations,
-        optimizer_converged=converged,
+        final_objective=result.objective,
+        optimizer_iterations=result.iterations,
+        optimizer_converged=result.converged,
     )
     return model, stats

@@ -109,20 +109,3 @@ def optimize_params(
         iterations=int(result.nit),
         converged=bool(result.success),
     )
-
-
-def finite_difference_grad(
-    stats: SeatingStats, params: DepthParams, step: float = 1e-6
-) -> np.ndarray:
-    """Central-difference gradient of the log posterior, for verification."""
-    depths = stats.depths
-    x0 = _pack(params, depths)
-    grad = np.zeros_like(x0)
-    for i in range(len(x0)):
-        lo, hi = x0.copy(), x0.copy()
-        lo[i] -= step
-        hi[i] += step
-        f_lo = log_posterior_from_stats(stats, _unpack(lo, params, depths))
-        f_hi = log_posterior_from_stats(stats, _unpack(hi, params, depths))
-        grad[i] = (f_hi - f_lo) / (2 * step)
-    return grad

@@ -77,7 +77,8 @@ class InsideChart:
     derivations: list[Derivation] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        # per-item sampling options, shared across repeated draws
+        # per-item edges and normalized cumulative weights, shared
+        # across repeated draws
         self._options: dict[Node, tuple[list[Edge], np.ndarray]] = {}
 
     def log_prob(self, nt: int, i: int, j: int) -> float:
@@ -169,13 +170,17 @@ def sample_tree(
             logw = np.array(head_weights)
             probs = np.exp(logw - logw.max())
             probs /= probs.sum()
-            options[head] = (head_edges, probs)
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+            options[head] = (head_edges, cdf)
     log_q = 0.0
 
     def pick(item: Node) -> Edge:
+        # the draw ``rng.choice(len(item_edges), p=probs)`` makes, without
+        # its per-call checks of ``probs``
         nonlocal log_q
-        item_edges, probs = options[item]
-        edge = item_edges[rng.choice(len(item_edges), p=probs)]
+        item_edges, cdf = options[item]
+        edge = item_edges[cdf.searchsorted(rng.random(), side="right")]
         log_q += float(pcfg.log_probs[edge[0]])
         return edge
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .trees import Sentence, Tree
+from .trees import Sentence, Tree, replace_leaves
 
 UNK_PREFIX = "UNK"
 
@@ -99,21 +99,8 @@ def replace_rare_words(
         mapper.known = set(counts)
         return corpus, mapper
 
-    def rewrite(node: Tree, counter: list[int], words: Sentence) -> Tree:
-        children: list[Tree | str] = []
-        for child in node.children:
-            if isinstance(child, str):
-                pos = counter[0]
-                counter[0] += 1
-                children.append(mapper.map_word(child, pos))
-            else:
-                children.append(rewrite(child, counter, words))
-        out = Tree(node.label, children)
-        out.span = node.span
-        return out
-
     replaced: list[tuple[Sentence, Tree]] = []
-    for words, tree in corpus:
-        new_tree = rewrite(tree, [0], words)
-        replaced.append((new_tree.leaves(), new_tree))
+    for _, tree in corpus:
+        words = mapper.map_sentence(tree.leaves())
+        replaced.append((words, replace_leaves(tree, words)))
     return replaced, mapper

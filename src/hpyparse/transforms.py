@@ -9,7 +9,7 @@ Reserved label markers (inputs may not already use them where noted):
 from __future__ import annotations
 
 from .errors import DataError
-from .trees import Sentence, Tree, annotate_spans
+from .trees import Sentence, Tree, annotate_spans, rebuild_tree
 
 BAR_SUFFIX = "|"
 TWIN_SUFFIX = "'"
@@ -40,14 +40,11 @@ def binarize_right(tree: Tree) -> Tree:
     carries no sibling history, so unbinarize_right inverts it exactly.
     """
 
-    def rec(node: Tree | str) -> Tree | str:
-        if isinstance(node, str):
-            return node
+    def build(node: Tree, children: list[Tree | str]) -> Tree:
         if is_bar_label(node.label):
             raise DataError(
                 f"label {node.label!r} uses the reserved binarization marker"
             )
-        children = [rec(c) for c in node.children]
         if len(children) <= 2:
             return Tree(node.label, children)
         tail = Tree(bar_label(node.label), children[-2:])
@@ -55,8 +52,7 @@ def binarize_right(tree: Tree) -> Tree:
             tail = Tree(bar_label(node.label), [child, tail])
         return Tree(node.label, [children[0], tail])
 
-    out = rec(tree)
-    assert isinstance(out, Tree)
+    out = rebuild_tree(tree, lambda word: word, build)
     annotate_spans(out)
     return out
 

@@ -17,12 +17,13 @@ tag is everything after the *last* slash, so words may contain slashes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import DataError, TreebankError
 from .grammar import Grammar
 
 Sentence = list[str]
+T = TypeVar("T")
 
 
 @dataclass
@@ -68,15 +69,51 @@ class Tree:
         )
 
 
+def rebuild_tree(
+    tree: Tree,
+    leaf: Callable[[str], T],
+    node: Callable[[Tree, list[T]], T],
+) -> T:
+    """Fold ``tree`` bottom-up with an explicit stack, so depth is unbounded.
+
+    ``leaf`` is called on each word in yield order; ``node`` is called on
+    each internal node with its children's results, after all of them.
+    """
+    stack: list[tuple[Tree, Iterator[Tree | str], list[T]]] = [
+        (tree, iter(tree.children), [])
+    ]
+    while True:
+        current, pending, done = stack[-1]
+        for child in pending:
+            if isinstance(child, str):
+                done.append(leaf(child))
+            else:
+                stack.append((child, iter(child.children), []))
+                break
+        else:
+            stack.pop()
+            out = node(current, done)
+            if not stack:
+                return out
+            stack[-1][2].append(out)
+
+
 def annotate_spans(tree: Tree, start: int = 0) -> int:
     """Fill in (start, end) token spans; returns the end of ``tree``."""
     pos = start
-    for child in tree.children:
-        if isinstance(child, str):
-            pos += 1
+    # open nodes: the node, its start, and its children not yet visited
+    stack = [(tree, start, iter(tree.children))]
+    while stack:
+        node, begin, pending = stack[-1]
+        for child in pending:
+            if isinstance(child, str):
+                pos += 1
+            else:
+                stack.append((child, pos, iter(child.children)))
+                break
         else:
-            pos = annotate_spans(child, pos)
-    tree.span = (start, pos)
+            node.span = (begin, pos)
+            stack.pop()
     return pos
 
 
@@ -175,22 +212,12 @@ def replace_leaves(tree: Tree, words: Sentence) -> Tree:
     """Copy of ``tree`` with leaves replaced by ``words`` in yield order."""
     if len(tree.leaves()) != len(words):
         raise DataError("replacement words do not match the tree yield length")
-    pos = 0
-
-    def rec(node: Tree) -> Tree:
-        nonlocal pos
-        children: list[Tree | str] = []
-        for child in node.children:
-            if isinstance(child, str):
-                children.append(words[pos])
-                pos += 1
-            else:
-                children.append(rec(child))
-        out = Tree(node.label, children)
-        out.span = node.span
-        return out
-
-    return rec(tree)
+    replacements = iter(words)
+    return rebuild_tree(
+        tree,
+        lambda _: next(replacements),
+        lambda node, children: Tree(node.label, children, node.span),
+    )
 
 
 def read_tag_corpus(text: str | Iterable[str]) -> list[tuple[Sentence, list[str]]]:

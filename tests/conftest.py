@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import settings
 
-from hpyparse.model import TrainConfig, train_model
+from hpyparse.config import RunConfig
+from hpyparse.model import train_model
 from hpyparse.trees import read_treebank
 
 # Property tests build real tries and charts; wall-clock deadlines only
@@ -56,10 +57,10 @@ def toy_corpus():
 
 @pytest.fixture(scope="session")
 def toy_model(toy_corpus):
-    model, stats = train_model(toy_corpus, TrainConfig(rare_threshold=0))
+    model, stats = train_model(toy_corpus, RunConfig(rare_threshold=0))
     return model
 
 
 @pytest.fixture(scope="session")
 def toy_model_and_stats(toy_corpus):
-    return train_model(toy_corpus, TrainConfig(rare_threshold=0))
+    return train_model(toy_corpus, RunConfig(rare_threshold=0))

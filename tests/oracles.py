@@ -9,8 +9,24 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 
+import numpy as np
+
 from hpyparse.grammar import Grammar
 from hpyparse.trees import Tree, annotate_spans
+
+
+# -- generalized factorials ---------------------------------------------------
+
+
+def log_generalized_factorial(a: float, count: int, step: float) -> float:
+    """log of prod_{i=0}^{count-1} (a + i*step); empty products are one.
+
+    The per-restaurant form of the seating likelihood's factors; the
+    library pools them into exceedance histograms instead.
+    """
+    if count <= 0:
+        return 0.0
+    return float(np.log(a + step * np.arange(count)).sum())
 
 
 # -- minimal-assumption seating ----------------------------------------------

@@ -20,10 +20,11 @@ from scipy import stats as scistats
 
 import hpyparse
 from hpyparse.astar import astar_parse
+from hpyparse.config import RunConfig
 from hpyparse.hpyp import BaseDistribution, ContextTrie, DepthParams, SeatingStats, log_posterior_from_stats
 from hpyparse.hypergraph import build_hypergraph, count_trees
 from hpyparse.mcmc import mbr_decode, mh_sample, span_count_objective
-from hpyparse.model import TrainConfig, train_model
+from hpyparse.model import train_model
 from hpyparse.optimize import optimize_params
 from hpyparse.pcfg import (
     cyk_viterbi,
@@ -323,7 +324,7 @@ def test_criterion_6_search_exactness():
                     corpus.append((t.leaves(), t))
             if len(corpus) < 6000:
                 continue
-            model, _ = train_model(corpus, TrainConfig(rare_threshold=0))
+            model, _ = train_model(corpus, RunConfig(rare_threshold=0))
             found = 0
             for _ in range(3000):
                 if found >= 10 or made >= 200:
@@ -366,7 +367,7 @@ def test_criterion_6_search_exactness():
 def test_criterion_7_mh_stationarity():
     with criterion(7, "chain within TV 0.05 of the exact posterior at 100k iterations; acceptance > 0"):
         corpus, _ = read_treebank("\n".join(RECURSIVE_TREEBANK))
-        model, _ = train_model(corpus, TrainConfig(rare_threshold=0))
+        model, _ = train_model(corpus, RunConfig(rare_threshold=0))
         words = ["a", "a", "a", "b"]
         cands = enumerate_parses(model.grammar, words)
         assert 2 <= len(cands) <= 50

@@ -8,9 +8,10 @@ from hpyparse.astar import (
     heuristic_full_frontier,
     heuristic_local_frontier,
 )
+from hpyparse.config import RunConfig
 from hpyparse.errors import DataError
 from hpyparse.hypergraph import build_hypergraph
-from hpyparse.model import TrainConfig, train_model
+from hpyparse.model import train_model
 from hpyparse.pcfg import NEG_INF, Pcfg, inside
 from hpyparse.trees import read_treebank, write_tree
 
@@ -113,7 +114,7 @@ def test_starved_queue_falls_back_to_viterbi(toy_model):
 
 def test_empty_hypergraph_rejected(toy_model):
     corpus, _ = read_treebank("(S (A a) (B b))")
-    model, _ = train_model(corpus, TrainConfig(rare_threshold=0))
+    model, _ = train_model(corpus, RunConfig(rare_threshold=0))
     hg = build_hypergraph(model.grammar, ["b", "a"])
     chart = inside(model.pcfg, ["b", "a"])
     with pytest.raises(DataError):
@@ -132,7 +133,7 @@ def test_max_inside_chart_also_works(toy_model):
 def test_rule_context_mode_scores_consistently(toy_corpus):
     # Rule-chain contexts change the model; the search must still account
     # scores exactly and return a grammar-licensed tree.
-    model, _ = train_model(toy_corpus, TrainConfig(context_mode="rule", rare_threshold=0))
+    model, _ = train_model(toy_corpus, RunConfig(context_mode="rule", rare_threshold=0))
     mapped, hg, chart = prepared(model, AMBIGUOUS_SENTENCE)
     result = astar_parse(model, hg, chart, "full", 10**6)
     assert result.log_score == pytest.approx(model.tree_log_prob(result.tree), abs=1e-9)
@@ -147,7 +148,7 @@ def test_first_pop_semantics_on_divergent_instance():
     from .conftest import DIVERGENT_TREEBANK
 
     corpus, _ = read_treebank(DIVERGENT_TREEBANK)
-    model, _ = train_model(corpus, TrainConfig(rare_threshold=0))
+    model, _ = train_model(corpus, RunConfig(rare_threshold=0))
     mapped, hg, chart = prepared(model, AMBIGUOUS_SENTENCE)
     result = astar_parse(model, hg, chart, "full", None)
     assert not result.used_fallback

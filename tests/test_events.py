@@ -1,3 +1,6 @@
+import sys
+
+import pytest
 from hypothesis import given
 
 from hpyparse.events import (
@@ -8,8 +11,10 @@ from hpyparse.events import (
     register_rules,
 )
 from hpyparse.grammar import Grammar
+from hpyparse.model import build_grammar
+from hpyparse.signatures import replace_rare_words
 from hpyparse.trees import read_tree
-from hpyparse.transforms import binarize_right
+from hpyparse.transforms import binarize_right, pos_to_tree
 
 from .strategies import trees
 
@@ -88,3 +93,29 @@ def test_register_rules_collects_each_production():
     assert "S -> A S|" in texts
     assert "S| -> B A" in texts
     assert "A -> x" in texts
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """CPython's default limit, whatever another test module raised it to."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(saved)
+
+
+def test_training_preprocessing_handles_trees_deeper_than_the_recursion_limit(
+    default_recursion_limit,
+):
+    n = 3000
+    tags = [("D", "N", "V")[k % 3] for k in range(n)]
+    words = [f"w{k % 50}" if k % 7 else f"rare{k}" for k in range(n)]
+    tree = binarize_right(pos_to_tree(tags, words))
+    assert tree.span == (0, n)
+    [(mapped, replaced)], _ = replace_rare_words([(words, tree)], threshold=1)
+    assert mapped == replaced.leaves()
+    assert mapped[7] == "UNK-NUM" and mapped[1] == "w1"
+    grammar = build_grammar([replaced])
+    events = extract_events(replaced, grammar)
+    assert len(events) == 2 * n
+    assert max(len(context) for context, _ in events) == n + 1

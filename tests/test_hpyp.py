@@ -10,12 +10,11 @@ from hpyparse.hpyp import (
     ContextTrie,
     DepthParams,
     SeatingStats,
-    log_generalized_factorial,
     log_posterior,
     log_posterior_from_stats,
 )
 
-from .oracles import KneserNeyReference, SeatingSimulator
+from .oracles import KneserNeyReference, SeatingSimulator, log_generalized_factorial
 
 
 def random_events(rng, count, alphabet=6, dishes=8, max_depth=5):
@@ -180,19 +179,6 @@ def test_predictive_rejects_unknown_dish():
     trie = ContextTrie(num_dishes=2)
     with pytest.raises(KeyError):
         trie.predictive_prob((), 2, DepthParams.uniform(1), BaseDistribution.uniform(2))
-
-
-def test_context_cap_truncates_query():
-    rng = np.random.default_rng(11)
-    trie = trained_trie(random_events(rng, 300, max_depth=4))
-    params = DepthParams.uniform(6, discount=0.4, concentration=0.5)
-    base = BaseDistribution.uniform(8)
-    context = (3, 1, 4, 1)
-    for dish in range(8):
-        capped = trie.predictive_prob(context, dish, params, base, context_cap=2)
-        assert capped == pytest.approx(trie.predictive_prob((4, 1), dish, params, base))
-        zero = trie.predictive_prob(context, dish, params, base, context_cap=0)
-        assert zero == pytest.approx(trie.predictive_prob((), dish, params, base))
 
 
 # -- Kneser-Ney equivalence -----------------------------------------------

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from hpyparse.config import RunConfig
 from hpyparse.errors import DataError
 from hpyparse.hpyp import ContextTrie
 from hpyparse.hypergraph import build_hypergraph
@@ -14,7 +15,7 @@ from hpyparse.mcmc import (
     most_frequent_tree,
     span_count_objective,
 )
-from hpyparse.model import TrainConfig, train_model
+from hpyparse.model import train_model
 from hpyparse.trees import read_treebank, write_tree
 
 from .conftest import AMBIGUOUS_SENTENCE
@@ -153,7 +154,7 @@ def test_mbr_dominates_every_sampled_tree(toy_model):
 
 def test_mbr_rejects_empty_hypergraph(toy_model):
     corpus, _ = read_treebank("(S (A a) (B b))")
-    model, _ = train_model(corpus, TrainConfig(rare_threshold=0))
+    model, _ = train_model(corpus, RunConfig(rare_threshold=0))
     hg = build_hypergraph(model.grammar, ["b", "a"])
     with pytest.raises(DataError):
         mbr_decode(SampleStats(), hg)

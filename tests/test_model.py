@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from hpyparse.config import RunConfig
 from hpyparse.errors import DataError
 from hpyparse.events import extract_events
-from hpyparse.model import TrainConfig, build_grammar, train_model
+from hpyparse.model import build_grammar, train_model
 from hpyparse.transforms import binarize_right
 from hpyparse.trees import read_tree
 
@@ -57,16 +58,37 @@ def test_context_cap_changes_scores(toy_model):
     assert uncapped != pytest.approx(capped)
 
 
+def test_context_cap_queries_the_context_suffix(toy_corpus, toy_model):
+    events = [
+        event
+        for _, tree in toy_corpus
+        for event in extract_events(binarize_right(tree), toy_model.grammar)
+    ]
+    assert max(len(context) for context, _ in events) > 2
+    for cap in (0, 1, 2):
+        capped_model = dataclasses.replace(toy_model, context_cap=cap)
+        for context, rule_id in events:
+            suffix = context[len(context) - cap :] if cap else ()
+            lhs = toy_model.grammar.rules[rule_id].lhs
+            ids, logs = capped_model.expansion_log_probs(context, lhs)
+            want_ids, want_logs = toy_model.expansion_log_probs(suffix, lhs)
+            assert ids == want_ids
+            assert np.array_equal(logs, want_logs)
+            assert capped_model.predictive_prob(context, rule_id) == (
+                toy_model.predictive_prob(suffix, rule_id)
+            )
+
+
 def test_seed_free_training_is_deterministic(toy_corpus):
-    a, _ = train_model(toy_corpus, TrainConfig())
-    b, _ = train_model(toy_corpus, TrainConfig())
+    a, _ = train_model(toy_corpus, RunConfig())
+    b, _ = train_model(toy_corpus, RunConfig())
     assert np.array_equal(a.params.discount, b.params.discount)
     assert np.array_equal(a.params.concentration, b.params.concentration)
     assert a.trie.num_events == b.trie.num_events
 
 
 def test_rare_threshold_replaces_singletons(toy_corpus):
-    model, _ = train_model(toy_corpus, TrainConfig(rare_threshold=1))
+    model, _ = train_model(toy_corpus, RunConfig(rare_threshold=1))
     # 'fell' occurs three times and survives; 'ran' three times; 'hat' three;
     # 'saw' four; nothing with count 1 remains raw
     terms = model.grammar.terminals.texts()
@@ -83,11 +105,11 @@ def test_multiple_roots_rejected():
 
 def test_empty_corpus_rejected():
     with pytest.raises(DataError):
-        train_model([], TrainConfig())
+        train_model([], RunConfig())
 
 
 def test_rule_context_mode_trains(toy_corpus):
-    model, stats = train_model(toy_corpus, TrainConfig(context_mode="rule"))
+    model, stats = train_model(toy_corpus, RunConfig(context_mode="rule"))
     assert stats.num_events > 0
     lhs = model.grammar.root
     _, logs = model.expansion_log_probs((), lhs)

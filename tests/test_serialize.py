@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from hpyparse.config import RunConfig
 from hpyparse.errors import ModelFormatError
-from hpyparse.model import TrainConfig, train_model
+from hpyparse.model import train_model
 from hpyparse.serialize import MAGIC, load_model, save_model
 from hpyparse.trees import read_treebank
 
@@ -46,7 +47,7 @@ def test_round_trip_is_byte_stable(toy_model):
 
 def test_minimal_model_round_trips():
     corpus, _ = read_treebank("(S a)")
-    model, _ = train_model(corpus, TrainConfig(optimize=False))
+    model, _ = train_model(corpus, RunConfig())
     blob = save_model(model)
     again = load_model(blob)
     assert again.grammar.num_rules == 1

@@ -1,7 +1,8 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hpyparse.model import TrainConfig, train_model
+from hpyparse.config import RunConfig
+from hpyparse.model import train_model
 from hpyparse.pcfg import cyk_viterbi
 from hpyparse.serialize import load_model, save_model
 from hpyparse.signatures import (
@@ -110,7 +111,7 @@ def test_missing_initial_signature_falls_back_to_plain_signature():
         "(S (NP (NN john)) (VP (VB saw) (NP (NN bill))))\n"
         "(S (NP (NN john)) (VP (VB saw) (NP (NN sue))))\n"
     )
-    model, _ = train_model(corpus, TrainConfig(rare_threshold=1, optimize=False))
+    model, _ = train_model(corpus, RunConfig(rare_threshold=1))
     assert set(model.grammar.terminals.texts()) == {"john", "saw", "UNK"}
     for mapper in (model.mapper, load_model(save_model(model)).mapper):
         assert mapper.map_sentence(["bob", "saw", "tom"]) == ["UNK", "saw", "UNK"]
