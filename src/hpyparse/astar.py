@@ -19,8 +19,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import DataError
-from .events import NONTERMINAL_CONTEXT, rule_context_element
-from .hypergraph import Edge, Hypergraph, Node, _child_spans, build_tree
+from .events import child_items, leftmost_walk, root_context
+from .hypergraph import Edge, Hypergraph, Node, build_tree
 from .model import TrainedModel
 from .pcfg import NEG_INF, InsideChart, cyk_viterbi
 from .trees import Tree
@@ -36,7 +36,7 @@ class Hypothesis:
     ``frontier`` holds the unexpanded items left to right, each paired
     with the vertical context under which its expansion will be scored.
     ``decisions`` records the applied edges in expansion order, which is
-    enough to rebuild the tree (leftmost expansion is deterministic).
+    enough to replay the derivation (leftmost expansion is deterministic).
     """
 
     frontier: tuple[tuple[Node, tuple[int, ...]], ...]
@@ -57,13 +57,7 @@ def heuristic_full_frontier(
     frontier: tuple[tuple[Node, tuple[int, ...]], ...], chart: InsideChart
 ) -> float:
     """Sum of inside log scores over every open frontier item."""
-    total = 0.0
-    for (nt, i, j), _ in frontier:
-        score = chart.log_prob(nt, i, j)
-        if score == NEG_INF:
-            return NEG_INF
-        total += score
-    return total
+    return heuristic_local_frontier([item for item, _ in frontier], chart)
 
 
 def heuristic_local_frontier(children: list[Node], chart: InsideChart) -> float:
@@ -88,24 +82,6 @@ class AStarResult:
     evictions: int = 0
 
 
-def _child_items(
-    model: TrainedModel, node: Node, context: tuple[int, ...], edge: Edge
-) -> list[tuple[Node, tuple[int, ...]]]:
-    """Frontier entries for the nonterminal children of an expansion."""
-    rule = model.grammar.rules[edge[0]]
-    _, i, j = node
-    out: list[tuple[Node, tuple[int, ...]]] = []
-    for slot, (sym, (a, b)) in enumerate(zip(rule.rhs, _child_spans(rule, i, j, edge[1]))):
-        if sym.terminal:
-            continue
-        if model.context_mode == NONTERMINAL_CONTEXT:
-            child_ctx = context + (sym.id,)
-        else:
-            child_ctx = context + (rule_context_element(edge[0], slot),)
-        out.append(((sym.id, a, b), child_ctx))
-    return out
-
-
 def astar_parse(
     model: TrainedModel,
     hg: Hypergraph,
@@ -126,10 +102,9 @@ def astar_parse(
         raise DataError("cannot search an empty hypergraph")
     assert hg.root is not None
 
-    root_entry = (hg.root, model.root_context())
-    h0 = heuristic_full_frontier((root_entry,), chart) if heuristic == HEURISTIC_FULL \
-        else heuristic_local_frontier([hg.root], chart)
-    start = Hypothesis((root_entry,), 0.0, h0, ())
+    root_entry = (hg.root, root_context(hg.root[0], model.context_mode))
+    # both estimates are the root's inside score here
+    start = Hypothesis((root_entry,), 0.0, heuristic_local_frontier([hg.root], chart), ())
 
     # Queue kept sorted ascending by (priority, -seq): the best entry sits
     # at the end (FIFO among exact ties), the worst at the front where
@@ -144,19 +119,14 @@ def astar_parse(
         pops += 1
         if hyp.complete:
             replay = iter(hyp.decisions)
-            return AStarResult(
-                build_tree(hg.grammar, hg.words, hg.root, lambda _: next(replay)),
-                hyp.log_score,
-                False,
-                pops,
-                pushes,
-                max_queue,
-                evictions,
-            )
+            steps = leftmost_walk(hg.grammar, hg.root, lambda _: next(replay))
+            tree = build_tree(hg.grammar, hg.words, steps)
+            log_score, used_fallback = hyp.log_score, False
+            break
         (node, context), rest = hyp.frontier[0], hyp.frontier[1:]
         for edge in hg.edges[node]:
             logp = model.expansion_log_prob(context, edge[0])
-            children = _child_items(model, node, context, edge)
+            children = child_items(hg.grammar, node, context, edge, model.context_mode)
             frontier = tuple(children) + rest
             if heuristic == HEURISTIC_FULL:
                 h = heuristic_full_frontier(frontier, chart)
@@ -171,16 +141,9 @@ def astar_parse(
                 del queue[0]
                 evictions += 1
             max_queue = max(max_queue, len(queue))
-
-    fallback = cyk_viterbi(model.pcfg, hg.words)
-    if fallback is None:
-        raise DataError("search starved and the fallback grammar has no parse")
-    return AStarResult(
-        fallback,
-        model.tree_log_prob(fallback),
-        True,
-        pops,
-        pushes,
-        max_queue,
-        evictions,
-    )
+    else:  # the queue starved
+        tree = cyk_viterbi(model.pcfg, hg.words)
+        if tree is None:
+            raise DataError("search starved and the fallback grammar has no parse")
+        log_score, used_fallback = model.tree_log_prob(tree), True
+    return AStarResult(tree, log_score, used_fallback, pops, pushes, max_queue, evictions)

@@ -89,6 +89,8 @@ class Grammar:
         self.rules: list[Rule] = []
         self._rule_ids: dict[Rule, int] = {}
         self.rules_by_lhs: dict[int, list[int]] = {}
+        # each rule's position in its lhs's ``rules_by_lhs`` list
+        self.lhs_position: list[int] = []
         self.root: int | None = None
         self._unary_order: list[int] | None = None
 
@@ -99,12 +101,6 @@ class Grammar:
 
     def terminal(self, text: str) -> int:
         return self.terminals.intern(text)
-
-    def nt(self, id: int) -> Sym:
-        return Sym(False, id)
-
-    def t(self, id: int) -> Sym:
-        return Sym(True, id)
 
     # -- rules -----------------------------------------------------------
 
@@ -118,7 +114,9 @@ class Grammar:
         got = len(self.rules)
         self.rules.append(rule)
         self._rule_ids[rule] = got
-        self.rules_by_lhs.setdefault(lhs, []).append(got)
+        same_lhs = self.rules_by_lhs.setdefault(lhs, [])
+        self.lhs_position.append(len(same_lhs))
+        same_lhs.append(got)
         self._unary_order = None
         return got
 

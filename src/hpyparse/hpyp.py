@@ -27,19 +27,23 @@ import numpy as np
 
 
 class Restaurant:
-    """Customer/table counts per dish, plus child restaurants."""
+    """Customer counts per dish, plus child restaurants. Minimal seating
+    gives each present dish one table, so table counts are derived."""
 
-    __slots__ = ("customers", "tables", "total_customers", "total_tables", "children")
+    __slots__ = ("customers", "total_customers", "children")
 
     def __init__(self) -> None:
         self.customers: dict[int, int] = {}
-        self.tables: dict[int, int] = {}
         self.total_customers = 0
-        self.total_tables = 0
         self.children: dict[int, "Restaurant"] = {}
 
-    def child(self, element: int) -> "Restaurant | None":
-        return self.children.get(element)
+    @property
+    def tables(self) -> dict[int, int]:
+        return dict.fromkeys(self.customers, 1)
+
+    @property
+    def total_tables(self) -> int:
+        return len(self.customers)
 
     def is_empty(self) -> bool:
         return self.total_customers == 0
@@ -152,12 +156,10 @@ class ContextTrie:
         self.num_events += 1
         self.max_depth = max(self.max_depth, len(context))
         for restaurant in reversed(path):
-            restaurant.customers[dish] = restaurant.customers.get(dish, 0) + 1
+            count = restaurant.customers.get(dish, 0) + 1
+            restaurant.customers[dish] = count
             restaurant.total_customers += 1
-            if restaurant.customers[dish] == 1:
-                restaurant.tables[dish] = 1
-                restaurant.total_tables += 1
-            else:
+            if count > 1:
                 return  # existing table: no proxy continues upward
         self.base_counts[dish] = self.base_counts.get(dish, 0) + 1
 
@@ -203,22 +205,21 @@ class ContextTrie:
 
             p = (n_d - d*t_d)/(n + c) + (c + d*t)/(n + c) * p_parent
 
-        with (d, c) taken from the level's depth. Empty restaurants pass
-        the parent value through unchanged, which also covers queries
-        deeper than anything stored.
+        with (d, c) taken from the level's depth, t_d = 1 for a present
+        dish (else 0) and t the number of present dishes. Empty
+        restaurants pass the parent value through unchanged, which also
+        covers queries deeper than anything stored.
         """
         probs = base.probs[dishes]
         for depth, restaurant in enumerate(self.chain(context)):
             if restaurant.is_empty():
                 continue
             discount, concentration = params.at(depth)
+            customers = restaurant.customers
             denom = restaurant.total_customers + concentration
-            weight = (concentration + discount * restaurant.total_tables) / denom
+            weight = (concentration + discount * len(customers)) / denom
             own = np.array(
-                [
-                    restaurant.customers.get(d, 0) - discount * restaurant.tables.get(d, 0)
-                    for d in dishes
-                ]
+                [customers[d] - discount if d in customers else 0.0 for d in dishes]
             )
             probs = own / denom + weight * probs
         return probs

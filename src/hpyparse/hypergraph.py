@@ -10,14 +10,15 @@ pass over that list under a different semiring (Goodman 1999, *Semiring
 Parsing*). The hypergraph keeps exactly the items that are derivable
 bottom-up *and* reachable from the root item, so every retained node
 takes part in at least one complete tree. Top-down decoders walk edges
-from the root; the edge encoding (rule id, split) determines child spans
-and kinds, and ``build_tree`` turns a choice of edge per item into a tree.
+from the root (``events.leftmost_walk``); the edge encoding (rule id,
+split) determines child spans and kinds, and ``build_tree`` turns the
+walk's steps into a tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .trees import Sentence, Tree
 Node = tuple[int, int, int]  # (nonterminal id, start, end)
 Edge = tuple[int, int]  # (rule id, split; -1 when the rule is not binary)
 Derivation = tuple[Node, Edge, tuple[Node, ...]]  # head, edge, nonterminal tails
+Step = tuple[Node, tuple[int, ...], Edge]  # an expansion: item, its context, edge
 
 
 @dataclass
@@ -43,10 +45,6 @@ class Hypergraph:
     @property
     def empty(self) -> bool:
         return self.root is None
-
-    @property
-    def n(self) -> int:
-        return len(self.words)
 
     def edge_tails(self, head: Node, edge: Edge) -> list[Node]:
         """Nonterminal child items of an edge, left to right."""
@@ -65,13 +63,6 @@ def _child_spans(rule: Rule, i: int, j: int, split: int) -> list[tuple[int, int]
     return [(i, split), (split, j)]
 
 
-def terminal_ids(grammar: Grammar, words: Sentence) -> list[int]:
-    """Map words to terminal ids; unknown words get -1 (match nothing)."""
-    return [
-        grammar.terminals.id(w) if w in grammar.terminals else -1 for w in words
-    ]
-
-
 def derivations(
     grammar: Grammar, words: Sentence, usable: np.ndarray | None = None
 ) -> list[Derivation]:
@@ -86,7 +77,8 @@ def derivations(
     ``usable`` (a flag per rule id) leaves out the rules it marks false,
     and the items only they derive.
     """
-    word_ids = terminal_ids(grammar, words)
+    # unknown words get -1, which no rule matches
+    word_ids = [grammar.terminals.id(w) if w in grammar.terminals else -1 for w in words]
     lexical: dict[int, list[tuple[int, int]]] = {}  # terminal -> (rule, lhs)
     # left child (terminal flag, id) -> (rule, lhs, right child)
     binary: dict[tuple[bool, int], list[tuple[int, int, tuple[bool, int]]]] = {}
@@ -145,44 +137,21 @@ def derivations(
     return out
 
 
-def build_tree(
-    grammar: Grammar, words: Sentence, root: Node, pick: Callable[[Node], Edge]
-) -> Tree:
-    """The tree in which each item is built by the edge ``pick`` gives it.
+def build_tree(grammar: Grammar, words: Sentence, steps: Sequence[Step]) -> Tree:
+    """The tree a derivation builds, from its steps in leftmost pre-order
+    (as ``events.leftmost_walk`` gives them; contexts are not read).
 
-    ``pick`` is called once per nonterminal item in leftmost pre-order:
-    a parent before its children, a left subtree before its right
-    sibling. That is the order of a leftmost top-down derivation, so
-    ``pick`` may draw random numbers or replay recorded decisions. Spans
-    are set as nodes are made. An explicit stack does the walk, so tree
-    depth is not bounded by the interpreter's recursion limit.
+    The steps are folded last to first, so each item's subtrees, left
+    ones on top, are done before it; the depth of the tree is not bounded
+    by the interpreter's recursion limit. Spans are set as nodes are made.
     """
-    top: list[Tree | None] = [None]
-    # (item, the parent's child list, the item's slot in it)
-    stack: list[tuple[Node, list, int]] = [(root, top, 0)]
-    while stack:
-        item, siblings, slot = stack.pop()
-        nt, i, j = item
-        rid, split = pick(item)
-        rhs = grammar.rules[rid].rhs
-        if len(rhs) == 1:
-            only = rhs[0]
-            children: list[Tree | str | None] = [words[i] if only.terminal else None]
-            if not only.terminal:
-                stack.append(((only.id, i, j), children, 0))
-        else:
-            left, right = rhs
-            children = [
-                words[i] if left.terminal else None,
-                words[split] if right.terminal else None,
-            ]
-            if not right.terminal:
-                stack.append(((right.id, split, j), children, 1))
-            if not left.terminal:
-                stack.append(((left.id, i, split), children, 0))
-        siblings[slot] = Tree(grammar.nonterminals.text(nt), children, (i, j))
-    tree = top[0]
-    assert tree is not None
+    done: list[Tree] = []
+    for (nt, i, j), _, (rule_id, split) in reversed(steps):
+        rhs = grammar.rules[rule_id].rhs
+        starts = (i,) if len(rhs) == 1 else (i, split)
+        children = [words[a] if sym.terminal else done.pop() for sym, a in zip(rhs, starts)]
+        done.append(Tree(grammar.nonterminals.text(nt), children, (i, j)))
+    [tree] = done
     return tree
 
 
@@ -242,20 +211,20 @@ def enumerate_trees(hg: Hypergraph, limit: int | None = None) -> Iterator[Tree]:
         return
     assert hg.root is not None
     produced = 0
-    # A state is the edges chosen so far in leftmost order and the items
+    # A state is the steps taken so far in leftmost order and the items
     # still open, leftmost first. Alternatives are pushed last edge first,
-    # so trees come out ordered by their edge choices in pre-order.
-    stack: list[tuple[tuple[Edge, ...], tuple[Node, ...]]] = [((), (hg.root,))]
+    # so trees come out ordered by their edge choices in pre-order. No
+    # context enters a tree, so the steps carry empty ones.
+    stack: list[tuple[tuple[Step, ...], tuple[Node, ...]]] = [((), (hg.root,))]
     while stack:
-        decisions, frontier = stack.pop()
+        steps, frontier = stack.pop()
         if frontier:
             item, rest = frontier[0], frontier[1:]
             for edge in reversed(hg.edges[item]):
                 tails = tuple(hg.edge_tails(item, edge))
-                stack.append((decisions + (edge,), tails + rest))
+                stack.append((steps + ((item, (), edge),), tails + rest))
             continue
         produced += 1
         if limit is not None and produced > limit:
             raise DataError(f"more than {limit} trees in hypergraph")
-        replay = iter(decisions)
-        yield build_tree(hg.grammar, hg.words, hg.root, lambda _: next(replay))
+        yield build_tree(hg.grammar, hg.words, steps)

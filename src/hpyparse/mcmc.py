@@ -1,10 +1,12 @@
 """Metropolis-Hastings tree sampling and minimum-risk span decoding.
 
-The chain proposes whole trees from the baseline grammar via inside
-sampling and accepts with the standard independence-proposal ratio; on
-rejection the previous sample is retained. Post-burn-in samples
-accumulate per-(label, span) counts, and the decoder picks the tree in
-the hypergraph whose total span count is maximal.
+The chain proposes whole derivations, the (item, context, edge) steps of
+``events.leftmost_walk``, from the baseline grammar via inside sampling,
+and accepts with the standard independence-proposal ratio; on rejection
+the previous state is retained. Both log probabilities are sums over the
+steps, post-burn-in states count their items' (label, span) pairs, and a
+tree is built once per distinct kept state. The decoder picks the tree
+in the hypergraph whose total span count is maximal.
 """
 
 from __future__ import annotations
@@ -16,10 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .hypergraph import Edge, Hypergraph, Node, build_tree
+from .events import leftmost_walk
+from .hypergraph import Edge, Hypergraph, Node, Step, build_tree
 from .model import TrainedModel
-from .pcfg import NEG_INF, InsideChart, inside, sample_tree, sentence_log_prob
-from .trees import Sentence, Tree
+from .pcfg import NEG_INF, InsideChart, derivation_log_prob, inside, sampling_pick
+from .pcfg import sentence_log_prob
+from .pcfg import sample_tree  # noqa: F401 - hpybench/tracing.py wraps this name
+from .trees import Sentence, Tree, write_tree
 
 
 @dataclass
@@ -35,12 +40,10 @@ class SampleStats:
     def acceptance_rate(self) -> float:
         return self.acceptance_count / self.iterations if self.iterations else 0.0
 
-    def add_tree(self, tree: Tree, grammar) -> None:
+    def add_derivation(self, steps: list[Step]) -> None:
         self.sample_count += 1
-        for node in tree.internal_nodes():
-            assert node.span is not None
-            nt = grammar.nonterminals.id(node.label)
-            self.span_counts[(nt, node.span[0], node.span[1])] += 1
+        for item, _, _ in steps:
+            self.span_counts[item] += 1
 
     def merge(self, other: "SampleStats") -> None:
         """Pool counts from an independent chain."""
@@ -61,10 +64,10 @@ def mh_sample(
     """Run one chain; returns (stats, kept samples, acceptance trace).
 
     The proposal is the model's baseline grammar. The first state is a
-    direct proposal draw; each iteration then draws a fresh tree and
-    applies the acceptance test in log space. The trace has one entry
-    per iteration; samples are the post-burn-in states in order (the
-    same tree object repeats across rejected iterations).
+    direct proposal draw; each iteration then draws a fresh derivation
+    and applies the acceptance test in log space. The trace has one
+    entry per iteration; samples are the post-burn-in states' trees in
+    order (the same tree object repeats across rejected iterations).
     """
     if iters <= burn_in:
         raise DataError(f"iters ({iters}) must exceed burn_in ({burn_in})")
@@ -73,24 +76,35 @@ def mh_sample(
         chart = inside(pcfg, words, "sum")
     if sentence_log_prob(pcfg, chart) == NEG_INF:
         raise DataError("sentence has no derivation; cannot start a chain")
+    grammar = model.grammar
+    root = (grammar.root, 0, len(words))
+    pick = sampling_pick(pcfg, chart, rng)
 
-    current, log_q_cur = sample_tree(pcfg, chart, words, rng)
-    log_p_cur = model.tree_log_prob(current)
+    def propose() -> tuple[list[Step], float, float]:
+        # log q and log p, each summed over the steps in pre-order
+        steps = leftmost_walk(grammar, root, pick, model.context_mode)
+        events = ((context, rule_id) for _, context, (rule_id, _) in steps)
+        return steps, derivation_log_prob(pcfg, steps), model.events_log_prob(events)
+
+    current, log_q_cur, log_p_cur = propose()
+    tree: Tree | None = None  # the current state's, once it is kept
     stats = SampleStats(iterations=iters)
     samples: list[Tree] = []
     trace: list[bool] = []
     for t in range(iters):
-        proposal, log_q_new = sample_tree(pcfg, chart, words, rng)
-        log_p_new = model.tree_log_prob(proposal)
+        proposal, log_q_new, log_p_new = propose()
         log_ratio = (log_p_new - log_q_new) - (log_p_cur - log_q_cur)
         accept = log_ratio >= 0 or math.log(rng.random()) < log_ratio
         if accept:
             current, log_q_cur, log_p_cur = proposal, log_q_new, log_p_new
+            tree = None
             stats.acceptance_count += 1
         trace.append(accept)
         if t >= burn_in:
-            samples.append(current)
-            stats.add_tree(current, model.grammar)
+            if tree is None:
+                tree = build_tree(grammar, words, current)
+            samples.append(tree)
+            stats.add_derivation(current)
     return stats, samples, trace
 
 
@@ -119,13 +133,12 @@ def mbr_decode(stats: SampleStats, hg: Hypergraph) -> Tree:
         if got is None or total > got[0] or (total == got[0] and edge < got[1]):
             best[head] = (total, edge)
     assert hg.root is not None
-    return build_tree(hg.grammar, hg.words, hg.root, lambda item: best[item][1])
+    steps = leftmost_walk(hg.grammar, hg.root, lambda item: best[item][1])
+    return build_tree(hg.grammar, hg.words, steps)
 
 
 def most_frequent_tree(samples: list[Tree]) -> tuple[Tree, int]:
     """Diagnostic only: modal sampled tree (high variance in large spaces)."""
-    from .trees import write_tree
-
     counts: Counter = Counter()
     first: dict[str, Tree] = {}
     for tree in samples:

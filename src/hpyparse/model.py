@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .config import RunConfig
 from .errors import DataError
-from .events import NONTERMINAL_CONTEXT, extract_events, register_rules
+from .events import extract_events, register_rules
 from .grammar import Grammar
 from .hpyp import BaseDistribution, ContextTrie, DepthParams
 from .optimize import optimize_params
@@ -100,22 +101,20 @@ class TrainedModel:
 
     def expansion_log_prob(self, context: tuple[int, ...], rule_id: int) -> float:
         lhs = self.grammar.rules[rule_id].lhs
-        rule_ids, logs = self.expansion_log_probs(context, lhs)
-        return float(logs[rule_ids.index(rule_id)])
+        _, logs = self.expansion_log_probs(context, lhs)
+        return float(logs[self.grammar.lhs_position[rule_id]])
 
-    def tree_log_prob(self, tree: Tree) -> float:
-        """Log probability of a (binarized-form) tree: sum over its events."""
+    def events_log_prob(self, events: Iterable[tuple[tuple[int, ...], int]]) -> float:
+        """Sum of the (context, rule id) events' expansion log probabilities,
+        added in the order given."""
         total = 0.0
-        for context, rule_id in extract_events(tree, self.grammar, self.context_mode):
+        for context, rule_id in events:
             total += self.expansion_log_prob(context, rule_id)
         return total
 
-    def root_context(self) -> tuple[int, ...]:
-        """Context under which the root node's rule is chosen."""
-        assert self.grammar.root is not None
-        if self.context_mode == NONTERMINAL_CONTEXT:
-            return (self.grammar.root,)
-        return ()
+    def tree_log_prob(self, tree: Tree) -> float:
+        """Log probability of a (binarized-form) tree: sum over its events."""
+        return self.events_log_prob(extract_events(tree, self.grammar, self.context_mode))
 
 
 def build_grammar(trees: list[Tree]) -> Grammar:

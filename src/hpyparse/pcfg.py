@@ -14,14 +14,15 @@ children precede parents (cyclic unary grammars are rejected upstream).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import DataError
 from .grammar import Grammar
-from .hypergraph import Derivation, Edge, Node, build_tree, derivations
+from .events import leftmost_walk, node_rule
+from .hypergraph import Derivation, Edge, Node, Step, build_tree, derivations
 from .trees import Sentence, Tree
-from .events import node_rule
 
 NEG_INF = float("-inf")
 
@@ -142,22 +143,18 @@ def cyk_viterbi(pcfg: Pcfg, words: Sentence) -> Tree | None:
     root = (grammar.root, 0, len(words))
     if root not in back:
         return None
-    return build_tree(grammar, words, root, back.__getitem__)
+    return build_tree(grammar, words, leftmost_walk(grammar, root, back.__getitem__))
 
 
-def sample_tree(
-    pcfg: Pcfg, chart: InsideChart, words: Sentence, rng: np.random.Generator
-) -> tuple[Tree, float]:
-    """Draw a tree proportional to its probability, given a sum-inside chart.
-
-    Returns the tree and its log probability under the grammar (the sum
-    of chosen rule log-probabilities), following top-down chart sampling.
-    """
+def sampling_pick(
+    pcfg: Pcfg, chart: InsideChart, rng: np.random.Generator
+) -> Callable[[Node], Edge]:
+    """A ``pick`` drawing each item's edge in proportion to its rule
+    probability times its tails' inside sums (a sum-mode chart's)."""
     if chart.mode != "sum":
         raise ValueError("sampling requires a sum-mode inside chart")
-    grammar = pcfg.grammar
-    assert grammar.root is not None
-    if chart.log_prob(grammar.root, 0, chart.n) == NEG_INF:
+    assert pcfg.grammar.root is not None
+    if chart.log_prob(pcfg.grammar.root, 0, chart.n) == NEG_INF:
         raise DataError("sentence has no derivation under the proposal grammar")
     options = chart._options
     if not options:
@@ -173,19 +170,35 @@ def sample_tree(
             cdf = probs.cumsum()
             cdf /= cdf[-1]
             options[head] = (head_edges, cdf)
-    log_q = 0.0
 
     def pick(item: Node) -> Edge:
         # the draw ``rng.choice(len(item_edges), p=probs)`` makes, without
         # its per-call checks of ``probs``
-        nonlocal log_q
         item_edges, cdf = options[item]
-        edge = item_edges[cdf.searchsorted(rng.random(), side="right")]
-        log_q += float(pcfg.log_probs[edge[0]])
-        return edge
+        return item_edges[cdf.searchsorted(rng.random(), side="right")]
 
-    tree = build_tree(grammar, words, (grammar.root, 0, chart.n), pick)
-    return tree, log_q
+    return pick
+
+
+def sample_tree(
+    pcfg: Pcfg, chart: InsideChart, words: Sentence, rng: np.random.Generator
+) -> tuple[Tree, float]:
+    """Draw a tree proportional to its probability, given a sum-inside chart.
+
+    Returns the tree and its log probability under the grammar (the sum
+    of chosen rule log-probabilities), following top-down chart sampling.
+    """
+    root = (pcfg.grammar.root, 0, chart.n)
+    steps = leftmost_walk(pcfg.grammar, root, sampling_pick(pcfg, chart, rng))
+    return build_tree(pcfg.grammar, words, steps), derivation_log_prob(pcfg, steps)
+
+
+def derivation_log_prob(pcfg: Pcfg, steps: list[Step]) -> float:
+    """Sum of the steps' rule log-probabilities, added in pre-order."""
+    total = 0.0
+    for _, _, (rule_id, _) in steps:
+        total += float(pcfg.log_probs[rule_id])
+    return total
 
 
 def tree_log_prob_under_pcfg(pcfg: Pcfg, tree: Tree) -> float:

@@ -126,9 +126,7 @@ def _read_restaurant_payload(r: _Reader, node: Restaurant) -> int:
         dish = r.u32()
         count = r.u32()
         node.customers[dish] = count
-        node.tables[dish] = 1
         node.total_customers += count
-        node.total_tables += 1
     return r.u32()
 
 

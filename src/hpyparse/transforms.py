@@ -59,21 +59,17 @@ def binarize_right(tree: Tree) -> Tree:
 
 def unbinarize_right(tree: Tree) -> Tree:
     """Splice out ``label|`` intermediates; exact inverse of binarize_right."""
-
-    def splice(node: Tree) -> list[Tree | str]:
-        out: list[Tree | str] = []
-        for child in node.children:
-            if isinstance(child, Tree) and is_bar_label(child.label):
-                out.extend(splice(child))
-            elif isinstance(child, Tree):
-                out.append(Tree(child.label, splice(child)))
-            else:
-                out.append(child)
-        return out
-
     if is_bar_label(tree.label):
         raise DataError("cannot unbinarize a tree rooted at an intermediate node")
-    out = Tree(tree.label, splice(tree))
+
+    def build(node: Tree, children: list) -> Tree | list:
+        # an intermediate returns its children for its parent to splice in
+        spliced: list[Tree | str] = []
+        for child in children:
+            spliced.extend(child if isinstance(child, list) else [child])
+        return spliced if is_bar_label(node.label) else Tree(node.label, spliced)
+
+    out = rebuild_tree(tree, lambda word: word, build)
     annotate_spans(out)
     return out
 
@@ -113,18 +109,15 @@ def tree_to_pos(tree: Tree) -> tuple[list[str], Sentence]:
     """
     tags: list[str] = []
     words: Sentence = []
-
-    def walk(node: Tree) -> None:
-        for child in node.children:
-            if isinstance(child, str):
-                if not is_twin_label(node.label) or len(node.children) != 1:
-                    raise DataError(
-                        f"word {child!r} is not emitted by a twin preterminal"
-                    )
-                tags.append(node.label[: -len(TWIN_SUFFIX)])
-                words.append(child)
-            else:
-                walk(child)
-
-    walk(tree)
+    # (parent, child) pairs, so words come off the stack in yield order
+    stack: list[tuple[Tree, Tree | str]] = [(tree, c) for c in reversed(tree.children)]
+    while stack:
+        node, child = stack.pop()
+        if isinstance(child, str):
+            if not is_twin_label(node.label) or len(node.children) != 1:
+                raise DataError(f"word {child!r} is not emitted by a twin preterminal")
+            tags.append(node.label[: -len(TWIN_SUFFIX)])
+            words.append(child)
+        else:
+            stack.extend((child, c) for c in reversed(child.children))
     return tags, words

@@ -64,9 +64,12 @@ class Tree:
 
     def depth(self) -> int:
         """Number of internal-node levels (a preterminal-only tree has depth 1)."""
-        return 1 + max(
-            (c.depth() for c in self.children if isinstance(c, Tree)), default=0
-        )
+        depth = 0
+        level: list[Tree] = [self]
+        while level:
+            depth += 1
+            level = [c for node in level for c in node.children if isinstance(c, Tree)]
+        return depth
 
 
 def rebuild_tree(
@@ -120,17 +123,16 @@ def annotate_spans(tree: Tree, start: int = 0) -> int:
 def write_tree(tree: Tree) -> str:
     """Single-line bracketed form; inverse of read_tree up to whitespace."""
     parts: list[str] = []
-
-    def emit(node: Tree | str) -> None:
+    # words and closing brackets are emitted as they are popped
+    stack: list[Tree | str] = [tree]
+    while stack:
+        node = stack.pop()
         if isinstance(node, str):
             parts.append(node)
-            return
-        parts.append("(" + node.label)
-        for child in node.children:
-            emit(child)
-        parts.append(")")
-
-    emit(tree)
+        else:
+            parts.append("(" + node.label)
+            stack.append(")")
+            stack.extend(reversed(node.children))
     out: list[str] = []
     for i, p in enumerate(parts):
         if i and p != ")" and not out[-1].endswith("("):
@@ -148,38 +150,34 @@ def read_tree(line: str, lineno: int | None = None) -> Tree:
     tokens = _tokenize_line(line)
     if not tokens:
         raise TreebankError("empty tree", lineno)
+    if tokens[0] != "(":
+        raise TreebankError("tree must start with '('", lineno)
+    # the open nodes, outermost first: label and children so far
+    stack: list[tuple[str, list[Tree | str]]] = []
+    done: list[Tree] = []  # the root, once it is closed
     pos = 0
-
-    def parse() -> Tree | str:
-        nonlocal pos
-        if tokens[pos] != "(":
-            word = tokens[pos]
-            pos += 1
-            return word
+    while pos < len(tokens) and not done:
+        token = tokens[pos]
+        if token == "(":
+            if pos + 1 >= len(tokens) or tokens[pos + 1] in "()":
+                raise TreebankError("missing node label", lineno)
+            stack.append((tokens[pos + 1], []))
+            pos += 2
+            continue
         pos += 1
-        if pos >= len(tokens) or tokens[pos] in "()":
-            raise TreebankError("missing node label", lineno)
-        label = tokens[pos]
-        pos += 1
-        children: list[Tree | str] = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            children.append(parse())
-            if pos >= len(tokens):
-                break
-        if pos >= len(tokens):
-            raise TreebankError("unbalanced brackets: missing ')'", lineno)
-        pos += 1
+        if token != ")":
+            stack[-1][1].append(token)
+            continue
+        label, children = stack.pop()
         if not children:
             raise TreebankError(f"node {label!r} has no children", lineno)
-        return Tree(label, children)
-
-    root = parse()
-    if isinstance(root, str):
-        raise TreebankError("tree must start with '('", lineno)
+        (stack[-1][1] if stack else done).append(Tree(label, children))
+    if not done:
+        raise TreebankError("unbalanced brackets: missing ')'", lineno)
     if pos != len(tokens):
         raise TreebankError("unbalanced brackets: trailing input", lineno)
-    annotate_spans(root)
-    return root
+    annotate_spans(done[0])
+    return done[0]
 
 
 def read_treebank(

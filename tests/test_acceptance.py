@@ -41,8 +41,6 @@ from .oracles import KneserNeyReference, SeatingSimulator, enumerate_parses, tre
 from .test_hpyp import random_events, trained_trie
 from .test_optimize import central_difference
 
-sys.setrecursionlimit(100000)
-
 
 @contextlib.contextmanager
 def criterion(number: int, description: str):

@@ -10,6 +10,7 @@ from hpyparse.astar import (
 )
 from hpyparse.config import RunConfig
 from hpyparse.errors import DataError
+from hpyparse.events import root_context
 from hpyparse.hypergraph import build_hypergraph
 from hpyparse.model import train_model
 from hpyparse.pcfg import NEG_INF, Pcfg, inside
@@ -60,7 +61,7 @@ def test_astar_matches_bruteforce_argmax(toy_model):
 def test_full_frontier_heuristic_values(toy_model):
     mapped, hg, chart = prepared(toy_model, AMBIGUOUS_SENTENCE)
     assert heuristic_full_frontier((), chart) == 0.0
-    root_entry = ((hg.root, toy_model.root_context()),)
+    root_entry = ((hg.root, root_context(hg.root[0], toy_model.context_mode)),)
     root_inside = chart.log_prob(*hg.root)
     assert heuristic_full_frontier(root_entry, chart) == pytest.approx(root_inside)
     # sum over several frontier items equals manual accumulation

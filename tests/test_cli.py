@@ -1,5 +1,6 @@
 import functools
 import os
+import sys
 
 import pytest
 
@@ -338,3 +339,25 @@ def test_garbage_model_is_data_error(tmp_path, capsys):
     code, _, err = run(["predict", SENTS, "--model", str(garbage)], capsys)
     assert code == 2
     assert err.startswith("data error:")
+
+
+def test_trees_deeper_than_the_recursion_limit_never_exit_3(tmp_path, capsys):
+    """train and evaluate on one tree nested 1,500 levels deep, run at
+    CPython's default recursion limit, finish or fail as a data error."""
+    tree = "(S (A a))"
+    for k in range(1, 1500):
+        tree = f"(S (A w{k % 5}) {tree})"
+    bank = str(tmp_path / "deep.mrg")
+    with open(bank, "w") as fh:
+        fh.write(tree + "\n")
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        results = [
+            run(["train", bank, "--model", str(tmp_path / "deep.model")], capsys),
+            run(["evaluate", bank, bank], capsys),
+        ]
+    finally:
+        sys.setrecursionlimit(saved)
+    for code, _, err in results:
+        assert code == 0 or (code == 2 and err.startswith("data error:")), err

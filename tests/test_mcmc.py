@@ -6,8 +6,9 @@ import pytest
 
 from hpyparse.config import RunConfig
 from hpyparse.errors import DataError
+from hpyparse.events import CONTEXT_MODES, leftmost_walk
 from hpyparse.hpyp import ContextTrie
-from hpyparse.hypergraph import build_hypergraph
+from hpyparse.hypergraph import build_hypergraph, build_tree
 from hpyparse.mcmc import (
     SampleStats,
     mbr_decode,
@@ -16,6 +17,13 @@ from hpyparse.mcmc import (
     span_count_objective,
 )
 from hpyparse.model import train_model
+from hpyparse.pcfg import (
+    derivation_log_prob,
+    inside,
+    sample_tree,
+    sampling_pick,
+    tree_log_prob_under_pcfg,
+)
 from hpyparse.trees import read_treebank, write_tree
 
 from .conftest import AMBIGUOUS_SENTENCE
@@ -183,3 +191,45 @@ def test_most_frequent_tree_diagnostic(toy_model):
     exact = Counter(write_tree(t) for t in samples)
     assert count == max(exact.values())
     assert exact[write_tree(tree)] == count
+
+
+@pytest.mark.parametrize("mode", CONTEXT_MODES)
+def test_sampled_derivation_scores_and_counts_equal_its_trees(toy_corpus, mode):
+    """A derivation's log q and log p are the very floats its tree scores,
+    and its items are the (label, span) pairs of the tree's nodes."""
+    model, _ = train_model(toy_corpus, RunConfig(rare_threshold=0, context_mode=mode))
+    grammar = model.grammar
+    words = AMBIGUOUS_SENTENCE
+    chart = inside(model.pcfg, words)
+    root = (grammar.root, 0, len(words))
+    pick = sampling_pick(model.pcfg, chart, np.random.default_rng(6))
+    reference = np.random.default_rng(6)
+    shapes = set()
+    for _ in range(40):
+        steps = leftmost_walk(grammar, root, pick, mode)
+        tree = build_tree(grammar, words, steps)
+        # the walk draws what sample_tree draws, in the same order
+        drawn, drawn_log_q = sample_tree(model.pcfg, chart, words, reference)
+        assert write_tree(drawn) == write_tree(tree)
+        log_q = derivation_log_prob(model.pcfg, steps)
+        assert log_q == drawn_log_q == tree_log_prob_under_pcfg(model.pcfg, tree)
+        log_p = model.events_log_prob((c, r) for _, c, (r, _) in steps)
+        assert log_p == model.tree_log_prob(tree)
+        stats = SampleStats()
+        stats.add_derivation(steps)
+        assert stats.span_counts == Counter(
+            (grammar.nonterminals.id(node.label), *node.span)
+            for node in tree.internal_nodes()
+        )
+        shapes.add(write_tree(tree))
+    assert len(shapes) == 2  # both attachments were drawn
+
+
+def test_kept_samples_repeat_exactly_on_rejection(toy_model):
+    burn_in = 30
+    rng = np.random.default_rng(8)
+    _, samples, trace = mh_sample(toy_model, AMBIGUOUS_SENTENCE, 300, burn_in, rng)
+    kept = trace[burn_in + 1 :]
+    assert any(kept) and not all(kept)
+    for t in range(1, len(samples)):
+        assert (samples[t] is samples[t - 1]) == (not trace[burn_in + t])

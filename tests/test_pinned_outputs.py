@@ -1,9 +1,11 @@
 """Decoder output pinned byte for byte across versions.
 
 Each decoder's predictions on fixed, seeded inputs are stored as SHA-256
-digests of the output file. A change to the chart, search, sampling or
-tree-building code that moves a single output byte fails here; a change
-meant to move output must update the digests and say why.
+digests of the output file, and so is ``diagnose --sentence``'s report
+(its modal MH sample, acceptance trace and A* line). A change to the
+chart, search, sampling or tree-building code that moves a single output
+byte fails here; a change meant to move output must update the digests
+and say why.
 """
 
 import hashlib
@@ -34,6 +36,13 @@ EXPECTED = {
     ("tag", "astar-full"): "bacd48dcd034b810afbdec7098a617e207a74786ae1a4f78fe2ebce9a8f6ff13",
     ("tag", "astar-local"): "bacd48dcd034b810afbdec7098a617e207a74786ae1a4f78fe2ebce9a8f6ff13",
     ("tag", "mcmc"): "2cc4787322e043966caabdcb01a14b854b86be2faa4009e40580fb449ce2e655",
+}
+
+DIAGNOSE_FLAGS = ["--iters", "200", "--burn-in", "20", "--seed", "3", "--beam", "64"]
+
+DIAGNOSE_EXPECTED = {
+    "parse": "0cfb2f932d984373451399d9a0a5ee18baeeeafc05fe1f7f2e34142a219c9b80",
+    "tag": "ded0eae0093618d0cf9406e3c6bd1d0e0ccc13cae42f3d91153e2189735d50d3",
 }
 
 
@@ -69,3 +78,17 @@ def test_decoder_output_is_pinned(models, task, decoder, tmp_path, capsys):
     assert code == 0
     text = out.read_text()
     assert hashlib.sha256(text.encode()).hexdigest() == EXPECTED[(task, decoder)], text
+
+
+@pytest.mark.parametrize("task", sorted(DIAGNOSE_EXPECTED))
+def test_diagnose_sentence_report_is_pinned(models, task, tmp_path, capsys):
+    model, sentences = models[task]
+    with open(sentences, encoding="utf-8") as fh:
+        sentence = fh.readline().strip()
+    out_dir = tmp_path / "diag"
+    code = main(["diagnose", "--model", model, "--sentence", sentence, "--out", str(out_dir)]
+                + DIAGNOSE_FLAGS)
+    stdout = capsys.readouterr().out.replace(str(out_dir), "OUT")
+    assert code == 0
+    report = stdout + (out_dir / "acceptance_trace.csv").read_text()
+    assert hashlib.sha256(report.encode()).hexdigest() == DIAGNOSE_EXPECTED[task], report
