@@ -15,6 +15,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -193,7 +194,7 @@ def _decode_one(model: TrainedModel, words: list[str], config: RunConfig, index:
     else:
         hg = build_hypergraph(model.grammar, mapped)
         if not hg.empty:
-            chart = inside(model.pcfg, mapped, "sum")
+            chart = inside(model.pcfg, mapped, "sum", hg.derivations)
             if config.decoder in ("astar-full", "astar-local"):
                 result = astar_parse(
                     model,
@@ -240,6 +241,15 @@ def _pool_decode(item: tuple[int, list[str]]) -> DecodeOutcome:
     return _decode_one(model, words, config, index)
 
 
+def _write_outcomes(outcomes: Iterable[DecodeOutcome], out: TextIO) -> None:
+    """Write each product line, and its stderr line, as its outcome arrives."""
+    for i, outcome in enumerate(outcomes):
+        print(outcome.line, file=out)
+        flag = "" if outcome.parsed else " NO-PARSE"
+        note = f" {outcome.note}" if outcome.note else ""
+        print(f"[{i}] {outcome.seconds:.3f}s{note}{flag}", file=sys.stderr)
+
+
 def cmd_predict(args: argparse.Namespace) -> int:
     config = _load_config(args)
     model = load_model_file(args.model)
@@ -261,14 +271,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 initializer=_pool_init,
                 initargs=(args.model, config),
             ) as pool:
-                outcomes = list(pool.map(_pool_decode, items, chunksize=8))
+                # map yields the outcomes in input order as they complete
+                _write_outcomes(pool.map(_pool_decode, items, chunksize=8), out)
         else:
-            outcomes = [_decode_one(model, words, config, i) for i, words in items]
-        for i, outcome in enumerate(outcomes):
-            print(outcome.line, file=out)
-            flag = "" if outcome.parsed else " NO-PARSE"
-            note = f" {outcome.note}" if outcome.note else ""
-            print(f"[{i}] {outcome.seconds:.3f}s{note}{flag}", file=sys.stderr)
+            _write_outcomes((_decode_one(model, words, config, i) for i, words in items), out)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -386,12 +392,12 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         words = args.sentence.split()
         mapped = model.mapper.map_sentence(words)
         rng = np.random.default_rng(config.seed)
-        chart = inside(model.pcfg, mapped, "sum")
+        hg = build_hypergraph(model.grammar, mapped)
+        chart = inside(model.pcfg, mapped, "sum", hg.derivations)
         root_log = sentence_log_prob(model.pcfg, chart)
         print(f"sentence-inside-logprob {root_log:.6f}")
         if root_log == NEG_INF:
             raise DataError("sentence has no parse under the model grammar")
-        hg = build_hypergraph(model.grammar, mapped)
         print(f"hypergraph-nodes {len(hg.nodes)}")
         stats, samples, trace = mh_sample(
             model, mapped, config.iters, config.burn_in, rng, chart

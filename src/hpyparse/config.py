@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import UsageError
@@ -46,8 +47,11 @@ class RunConfig:
             raise UsageError("max-len must be >= 1")
         if self.context_cap is not None and self.context_cap < 0:
             raise UsageError("context-cap must be >= 0")
-        if min(self.beta_a, self.beta_b, self.gamma_shape, self.gamma_rate) <= 0:
-            raise UsageError("hyperprior parameters must be positive")
+        if self.seed < 0:
+            raise UsageError("seed must be >= 0")
+        hyperpriors = (self.beta_a, self.beta_b, self.gamma_shape, self.gamma_rate)
+        if not all(math.isfinite(v) and v > 0 for v in hyperpriors):
+            raise UsageError("hyperprior parameters must be positive and finite")
         # decoder-specific requirements, checked before any work starts
         if self.decoder.startswith("astar") and self.beam < 1:
             raise UsageError("beam must be >= 1 for the search decoder")
@@ -86,8 +90,6 @@ def _coerce(key: str, value: str, lineno: int) -> object:
             return None
         return _int(key, value, lineno)
     default = getattr(RunConfig(), key)
-    if isinstance(default, bool):
-        return value.lower() in ("1", "true", "yes")
     if isinstance(default, int):
         return _int(key, value, lineno)
     if isinstance(default, float):

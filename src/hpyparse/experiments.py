@@ -86,7 +86,6 @@ def run_depth_effect(
             decoded = exact_decode(model, candidates, cap)
             if write_tree(decoded) == gold:
                 correct[label] += 1
-        model.clear_cache()
 
     accuracy = {label: correct[label] / len(test) for label in labels}
     return DepthEffectResult(accuracy, train_size, test_size, seed)

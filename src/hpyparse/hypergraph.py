@@ -9,18 +9,18 @@ sampling weights, tree counts and span-count maximization are each one
 pass over that list under a different semiring (Goodman 1999, *Semiring
 Parsing*). The hypergraph keeps exactly the items that are derivable
 bottom-up *and* reachable from the root item, so every retained node
-takes part in at least one complete tree. Top-down decoders walk edges
-from the root (``events.leftmost_walk``); the edge encoding (rule id,
-split) determines child spans and kinds, and ``build_tree`` turns the
-walk's steps into a tree.
+takes part in at least one complete tree; its pruned list is the one
+enumeration a decoder makes per sentence, and every chart it reads is a
+fold over that list. Top-down decoders walk edges from the root
+(``events.leftmost_walk``); the edge encoding (rule id, split)
+determines child spans and kinds, and ``build_tree`` turns the walk's
+steps into a tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from .errors import DataError
 from .grammar import Grammar, Rule
@@ -63,9 +63,7 @@ def _child_spans(rule: Rule, i: int, j: int, split: int) -> list[tuple[int, int]
     return [(i, split), (split, j)]
 
 
-def derivations(
-    grammar: Grammar, words: Sentence, usable: np.ndarray | None = None
-) -> list[Derivation]:
+def derivations(grammar: Grammar, words: Sentence) -> list[Derivation]:
     """Every edge of every item derivable over ``words``, bottom-up.
 
     Cells come by increasing width, then start. Within a cell come the
@@ -74,8 +72,6 @@ def derivations(
     every edge comes after all edges of its tails, and a fold over the
     list combines each item's edges in one fixed order. A terminal in a
     binary child slot matches exactly a width-one span with that word.
-    ``usable`` (a flag per rule id) leaves out the rules it marks false,
-    and the items only they derive.
     """
     # unknown words get -1, which no rule matches
     word_ids = [grammar.terminals.id(w) if w in grammar.terminals else -1 for w in words]
@@ -83,8 +79,6 @@ def derivations(
     # left child (terminal flag, id) -> (rule, lhs, right child)
     binary: dict[tuple[bool, int], list[tuple[int, int, tuple[bool, int]]]] = {}
     for rid, rule in enumerate(grammar.rules):
-        if usable is not None and not usable[rid]:
-            continue
         if rule.is_lexical:
             lexical.setdefault(rule.rhs[0].id, []).append((rid, rule.lhs))
         elif rule.is_binary:
@@ -92,7 +86,6 @@ def derivations(
     unary = [
         (rid, grammar.rules[rid].lhs, grammar.rules[rid].rhs[0].id)
         for rid in grammar.unary_rule_order()
-        if usable is None or usable[rid]
     ]
 
     n = len(words)

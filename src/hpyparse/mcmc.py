@@ -19,10 +19,10 @@ import numpy as np
 
 from .errors import DataError
 from .events import leftmost_walk
-from .hypergraph import Edge, Hypergraph, Node, Step, build_tree
+from .hypergraph import Hypergraph, Step, build_tree
 from .model import TrainedModel
 from .pcfg import NEG_INF, InsideChart, derivation_log_prob, inside, sampling_pick
-from .pcfg import sentence_log_prob
+from .pcfg import best_tree, sentence_log_prob
 from .pcfg import sample_tree  # noqa: F401 - hpybench/tracing.py wraps this name
 from .trees import Sentence, Tree, write_tree
 
@@ -121,20 +121,15 @@ def span_count_objective(stats: SampleStats, tree: Tree, grammar) -> int:
 def mbr_decode(stats: SampleStats, hg: Hypergraph) -> Tree:
     """Tree in the hypergraph maximizing the summed span-label counts.
 
-    Max-plus fold over the hypergraph's bottom-up edge list, each item
-    adding its own span count; ties break on (rule id, split).
+    Each edge starts from its head's span count; ties break on
+    (rule id, split).
     """
     if hg.empty:
         raise DataError("cannot decode over an empty hypergraph")
-    best: dict[Node, tuple[int, Edge]] = {}
-    for head, edge, tails in hg.derivations:
-        total = stats.span_counts.get(head, 0) + sum(best[t][0] for t in tails)
-        got = best.get(head)
-        if got is None or total > got[0] or (total == got[0] and edge < got[1]):
-            best[head] = (total, edge)
-    assert hg.root is not None
-    steps = leftmost_walk(hg.grammar, hg.root, lambda item: best[item][1])
-    return build_tree(hg.grammar, hg.words, steps)
+    counts = stats.span_counts
+    tree = best_tree(hg, lambda head, _: counts.get(head, 0))
+    assert tree is not None
+    return tree
 
 
 def most_frequent_tree(samples: list[Tree]) -> tuple[Tree, int]:

@@ -62,9 +62,6 @@ class TrainedModel:
     def __post_init__(self) -> None:
         self._expansion_cache: dict = {}
 
-    def clear_cache(self) -> None:
-        self._expansion_cache = {}
-
     # -- probabilities ---------------------------------------------------
 
     def _capped(self, context: tuple[int, ...]) -> tuple[int, ...]:

@@ -5,10 +5,13 @@ estimator for best-first search, and the proposal distribution for the
 sampling decoder. Charts are dense log-probability tables over
 (nonterminal, start, end); all arithmetic is in log space.
 
-Rule shapes beyond Chomsky normal form are handled uniformly: a terminal
-occupying a binary child slot matches exactly a width-one span with that
-word, and unary nonterminal rules are applied per cell in an order where
-children precede parents (cyclic unary grammars are rejected upstream).
+Every algorithm here is a fold over one derivation list. On the decode
+path that is the sentence's pruned hypergraph, enumerated once: the
+inside chart folds its edges in the sum (or max) semiring and skips
+those a zero-probability rule scores ``-inf``, the sampler draws from
+the kept edges, and ``best_tree``, the max-plus fold that CYK and MBR
+decoding share, picks each item's best edge. Standalone ``inside``
+folds its own enumeration and so fills every derivable cell.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import numpy as np
 from .errors import DataError
 from .grammar import Grammar
 from .events import leftmost_walk, node_rule
-from .hypergraph import Derivation, Edge, Node, Step, build_tree, derivations
+from .hypergraph import Derivation, Edge, Hypergraph, Node, Step, build_tree, derivations
+from .hypergraph import build_hypergraph
 from .trees import Sentence, Tree
 
 NEG_INF = float("-inf")
@@ -74,7 +78,7 @@ class InsideChart:
 
     scores: np.ndarray  # [num_nts, n+1, n+1]
     mode: str  # "sum" or "max"
-    # the edges folded into ``scores``, as ``derivations`` lists them
+    # the edges folded into ``scores``, in order; those scoring -inf are left out
     derivations: list[Derivation] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -91,21 +95,29 @@ class InsideChart:
 
 
 def _edge_score(pcfg: Pcfg, scores, edge: Edge, tails: tuple[Node, ...]) -> float:
-    """Rule log-probability plus the tails' scores, added left to right.
-
-    ``scores`` is indexed by item: a chart array or a dict.
-    """
+    """Rule log-probability plus the tails' chart scores, added left to right."""
     total = pcfg.log_probs[edge[0]]
     for tail in tails:
         total = total + scores[tail]
     return total
 
 
-def inside(pcfg: Pcfg, words: Sentence, mode: str = "sum") -> InsideChart:
+def inside(
+    pcfg: Pcfg,
+    words: Sentence,
+    mode: str = "sum",
+    derivs: list[Derivation] | None = None,
+) -> InsideChart:
     """Inside chart: cell (A, i, j) aggregates all derivations of the span.
 
     ``sum`` gives total probabilities (the root cell is the sentence
     probability); ``max`` gives best-derivation (Viterbi) scores.
+
+    The fold runs over ``derivs`` (a hypergraph's, whose nodes get the
+    full chart's scores, as an item's score depends only on its
+    descendants), by default over ``derivations(grammar, words)``. It
+    skips the edges that score ``-inf`` and keeps the rest, in order,
+    as ``chart.derivations``.
     """
     if mode not in ("sum", "max"):
         raise ValueError(f"bad chart mode {mode!r}")
@@ -114,10 +126,16 @@ def inside(pcfg: Pcfg, words: Sentence, mode: str = "sum") -> InsideChart:
         raise DataError("cannot build a chart for an empty sentence")
     chart = np.full((len(pcfg.grammar.nonterminals), n + 1, n + 1), NEG_INF)
     combine = np.logaddexp if mode == "sum" else max
-    edges = derivations(pcfg.grammar, words, pcfg.log_probs > NEG_INF)
-    for head, edge, tails in edges:
-        chart[head] = combine(chart[head], _edge_score(pcfg, chart, edge, tails))
-    return InsideChart(chart, mode, edges)
+    if derivs is None:
+        derivs = derivations(pcfg.grammar, words)
+    kept: list[Derivation] = []
+    for derivation in derivs:
+        head, edge, tails = derivation
+        score = _edge_score(pcfg, chart, edge, tails)
+        if score != NEG_INF:
+            chart[head] = combine(chart[head], score)
+            kept.append(derivation)
+    return InsideChart(chart, mode, kept)
 
 
 def sentence_log_prob(pcfg: Pcfg, chart: InsideChart) -> float:
@@ -125,25 +143,38 @@ def sentence_log_prob(pcfg: Pcfg, chart: InsideChart) -> float:
     return chart.log_prob(pcfg.grammar.root, 0, chart.n)
 
 
+def best_tree(hg: Hypergraph, start: Callable[[Node, Edge], float]) -> Tree | None:
+    """The hypergraph's best tree under a max-plus fold, or None when the
+    hypergraph is empty or the root's best score is ``-inf``.
+
+    An edge scores ``start(head, edge)`` plus its tails' best scores,
+    added left to right; ties break to the lowest (rule id, split).
+    """
+    if hg.empty:
+        return None
+    scores: dict[Node, float] = {}
+    back: dict[Node, Edge] = {}
+    for head, edge, tails in hg.derivations:
+        score = start(head, edge)
+        for tail in tails:
+            score = score + scores[tail]
+        got = scores.get(head)
+        if got is None or score > got or (score == got and edge < back[head]):
+            scores[head] = score
+            back[head] = edge
+    assert hg.root is not None
+    if scores[hg.root] == NEG_INF:
+        return None
+    return build_tree(hg.grammar, hg.words, leftmost_walk(hg.grammar, hg.root, back.__getitem__))
+
+
 def cyk_viterbi(pcfg: Pcfg, words: Sentence) -> Tree | None:
     """Highest-probability tree, or None if the sentence has no parse.
 
     Ties are broken deterministically: lowest rule id, then lowest split.
     """
-    grammar = pcfg.grammar
-    assert grammar.root is not None
-    scores: dict[Node, float] = {}
-    back: dict[Node, Edge] = {}
-    for head, edge, tails in derivations(grammar, words, pcfg.log_probs > NEG_INF):
-        score = _edge_score(pcfg, scores, edge, tails)
-        got = scores.get(head)
-        if got is None or score > got or (score == got and edge < back[head]):
-            scores[head] = score
-            back[head] = edge
-    root = (grammar.root, 0, len(words))
-    if root not in back:
-        return None
-    return build_tree(grammar, words, leftmost_walk(grammar, root, back.__getitem__))
+    log_probs = pcfg.log_probs
+    return best_tree(build_hypergraph(pcfg.grammar, words), lambda _, edge: log_probs[edge[0]])
 
 
 def sampling_pick(

@@ -38,31 +38,26 @@ VERSION = 1
 _TASKS = (TASK_PARSE, TASK_TAG)
 _MODES = ("nonterminal", "rule")
 _BASES = ("uniform", "mle")
+# the six values of a depth row, in the order they are stored
+_DEPTH_FIELDS = ("discount", "concentration", "beta_a", "beta_b", "gamma_shape", "gamma_rate")
 
 
 class _Writer:
     def __init__(self) -> None:
         self.buf = io.BytesIO()
 
-    def u8(self, v: int) -> None:
-        self.buf.write(struct.pack("<B", v))
-
-    def u32(self, v: int) -> None:
-        self.buf.write(struct.pack("<I", v))
-
-    def i32(self, v: int) -> None:
-        self.buf.write(struct.pack("<i", v))
-
-    def u64(self, v: int) -> None:
-        self.buf.write(struct.pack("<Q", v))
-
-    def f64(self, v: float) -> None:
-        self.buf.write(struct.pack("<d", v))
+    def pack(self, fmt: str, *values) -> None:
+        """Write ``values`` in the little-endian ``struct`` format ``fmt``."""
+        self.buf.write(struct.pack("<" + fmt, *values))
 
     def text(self, s: str) -> None:
         raw = s.encode("utf-8")
-        self.u32(len(raw))
-        self.buf.write(raw)
+        self.pack(f"I{len(raw)}s", len(raw), raw)
+
+    def pairs(self, counts: dict[int, int]) -> None:
+        """A count, then the (key, value) pairs sorted by key."""
+        flat = [v for key in sorted(counts) for v in (key, counts[key])]
+        self.pack(f"I{len(flat)}I", len(counts), *flat)
 
 
 class _Reader:
@@ -70,69 +65,54 @@ class _Reader:
         self.raw = raw
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.raw):
+    def unpack(self, fmt: str) -> tuple:
+        """Read the values of the little-endian ``struct`` format ``fmt``."""
+        fmt = "<" + fmt
+        end = self.pos + struct.calcsize(fmt)
+        if end > len(self.raw):
             raise ModelFormatError("truncated model payload")
-        out = self.raw[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def i32(self) -> int:
-        return struct.unpack("<i", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
+        values = struct.unpack_from(fmt, self.raw, self.pos)
+        self.pos = end
+        return values
 
     def text(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        (size,) = self.unpack("I")
+        return self.unpack(f"{size}s")[0].decode("utf-8")
+
+    def pairs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The keys and the values a ``_Writer.pairs`` call wrote."""
+        (count,) = self.unpack("I")
+        flat = self.unpack(f"{2 * count}I")
+        return flat[::2], flat[1::2]
 
 
 def _write_trie(w: _Writer, trie: ContextTrie) -> None:
-    w.u64(trie.num_events)
-    w.u32(trie.max_depth)
+    w.pack("QI", trie.num_events, trie.max_depth)
     tasks: list[tuple[str, object]] = [("node", trie.root)]
     while tasks:
         kind, payload = tasks.pop()
         if kind == "edge":
-            w.u32(payload)  # type: ignore[arg-type]
+            w.pack("I", payload)
             continue
         node: Restaurant = payload  # type: ignore[assignment]
-        w.u32(len(node.customers))
-        for dish in sorted(node.customers):
-            w.u32(dish)
-            w.u32(node.customers[dish])
+        w.pairs(node.customers)
         children = sorted(node.children.items())
-        w.u32(len(children))
+        w.pack("I", len(children))
         for edge, child in reversed(children):
             tasks.append(("node", child))
             tasks.append(("edge", edge))
-    w.u32(len(trie.base_counts))
-    for dish in sorted(trie.base_counts):
-        w.u32(dish)
-        w.u32(trie.base_counts[dish])
+    w.pairs(trie.base_counts)
 
 
 def _read_restaurant_payload(r: _Reader, node: Restaurant) -> int:
-    for _ in range(r.u32()):
-        dish = r.u32()
-        count = r.u32()
-        node.customers[dish] = count
-        node.total_customers += count
-    return r.u32()
+    dishes, counts = r.pairs()
+    node.customers = dict(zip(dishes, counts))
+    node.total_customers = sum(counts)
+    return r.unpack("I")[0]
 
 
 def _read_trie(r: _Reader, num_dishes: int) -> ContextTrie:
-    num_events = r.u64()
-    max_depth = r.u32()
+    num_events, max_depth = r.unpack("QI")
     root = Restaurant()
     stack = [(root, _read_restaurant_payload(r, root))]
     while stack:
@@ -141,18 +121,14 @@ def _read_trie(r: _Reader, num_dishes: int) -> ContextTrie:
             stack.pop()
             continue
         stack[-1] = (parent, remaining - 1)
-        edge = r.u32()
+        (edge,) = r.unpack("I")
         child = Restaurant()
         parent.children[edge] = child
         stack.append((child, _read_restaurant_payload(r, child)))
-    base_counts = {}
-    for _ in range(r.u32()):
-        dish = r.u32()
-        base_counts[dish] = r.u32()
     return ContextTrie(
         num_dishes=num_dishes,
         root=root,
-        base_counts=base_counts,
+        base_counts=dict(zip(*r.pairs())),
         num_events=num_events,
         max_depth=max_depth,
     )
@@ -160,48 +136,40 @@ def _read_trie(r: _Reader, num_dishes: int) -> ContextTrie:
 
 def save_model(model: TrainedModel) -> bytes:
     w = _Writer()
-    w.u8(_TASKS.index(model.task))
-    w.u8(_MODES.index(model.context_mode))
-    w.u8(_BASES.index(model.base.variant))
-    w.u32(model.mapper.threshold)
-    w.i32(-1 if model.context_cap is None else model.context_cap)
     assert model.grammar.root is not None
-    w.u32(model.grammar.root)
+    w.pack(
+        "BBBIiI",
+        _TASKS.index(model.task),
+        _MODES.index(model.context_mode),
+        _BASES.index(model.base.variant),
+        model.mapper.threshold,
+        -1 if model.context_cap is None else model.context_cap,
+        model.grammar.root,
+    )
 
     grammar = model.grammar
-    w.u32(len(grammar.nonterminals))
+    w.pack("I", len(grammar.nonterminals))
     for text in grammar.nonterminals.texts():
         w.text(text)
-    w.u32(len(grammar.terminals))
+    w.pack("I", len(grammar.terminals))
     for text in grammar.terminals.texts():
         w.text(text)
 
     known_ids = sorted(grammar.terminals.id(word) for word in model.mapper.known)
-    w.u32(len(known_ids))
-    for tid in known_ids:
-        w.u32(tid)
+    w.pack(f"I{len(known_ids)}I", len(known_ids), *known_ids)
 
-    w.u32(grammar.num_rules)
+    w.pack("I", grammar.num_rules)
     for rule in grammar.rules:
-        w.u32(rule.lhs)
-        w.u8(len(rule.rhs))
+        w.pack("IB", rule.lhs, len(rule.rhs))
         for sym in rule.rhs:
-            w.u8(int(sym.terminal))
-            w.u32(sym.id)
+            w.pack("BI", int(sym.terminal), sym.id)
 
-    for p in model.pcfg.rule_probs:
-        w.f64(float(p))
-    for p in model.pcfg.lhs_freq:
-        w.f64(float(p))
+    w.pack(f"{len(model.pcfg.rule_probs)}d", *model.pcfg.rule_probs.tolist())
+    w.pack(f"{len(model.pcfg.lhs_freq)}d", *model.pcfg.lhs_freq.tolist())
 
-    w.u32(model.params.depths)
+    w.pack("I", model.params.depths)
     for m in range(model.params.depths):
-        w.f64(float(model.params.discount[m]))
-        w.f64(float(model.params.concentration[m]))
-        w.f64(float(model.params.beta_a[m]))
-        w.f64(float(model.params.beta_b[m]))
-        w.f64(float(model.params.gamma_shape[m]))
-        w.f64(float(model.params.gamma_rate[m]))
+        w.pack("6d", *(float(getattr(model.params, name)[m]) for name in _DEPTH_FIELDS))
 
     _write_trie(w, model.trie)
 
@@ -236,40 +204,29 @@ def load_model(raw: bytes) -> TrainedModel:
 
 def _read_payload(payload: bytes) -> TrainedModel:
     r = _Reader(payload)
-    task = _TASKS[r.u8()]
-    mode = _MODES[r.u8()]
-    base_variant = _BASES[r.u8()]
-    threshold = r.u32()
-    cap = r.i32()
-    root = r.u32()
+    task, mode, base_variant, threshold, cap, root = r.unpack("BBBIiI")
+    task, mode, base_variant = _TASKS[task], _MODES[mode], _BASES[base_variant]
 
     grammar = Grammar()
-    for _ in range(r.u32()):
+    for _ in range(r.unpack("I")[0]):
         grammar.nonterminal(r.text())
-    for _ in range(r.u32()):
+    for _ in range(r.unpack("I")[0]):
         grammar.terminal(r.text())
-    known = {grammar.terminals.text(r.u32()) for _ in range(r.u32())}
-    for _ in range(r.u32()):
-        lhs = r.u32()
-        rhs = tuple(Sym(bool(r.u8()), r.u32()) for _ in range(r.u8()))
+    (count,) = r.unpack("I")
+    known = {grammar.terminals.text(tid) for tid in r.unpack(f"{count}I")}
+    for _ in range(r.unpack("I")[0]):
+        lhs, arity = r.unpack("IB")
+        rhs = tuple(Sym(bool(flag), sid) for flag, sid in (r.unpack("BI") for _ in range(arity)))
         grammar.add_rule(lhs, rhs)
     grammar.set_root(root)
     grammar.validate()
 
-    rule_probs = np.array([r.f64() for _ in range(grammar.num_rules)])
-    lhs_freq = np.array([r.f64() for _ in range(len(grammar.nonterminals))])
+    rule_probs = np.array(r.unpack(f"{grammar.num_rules}d"))
+    lhs_freq = np.array(r.unpack(f"{len(grammar.nonterminals)}d"))
     pcfg = Pcfg(grammar, rule_probs, lhs_freq)
 
-    depths = r.u32()
-    fields = np.array([[r.f64() for _ in range(6)] for _ in range(depths)])
-    params = DepthParams(
-        discount=fields[:, 0].copy(),
-        concentration=fields[:, 1].copy(),
-        beta_a=fields[:, 2].copy(),
-        beta_b=fields[:, 3].copy(),
-        gamma_shape=fields[:, 4].copy(),
-        gamma_rate=fields[:, 5].copy(),
-    )
+    rows = np.array([r.unpack("6d") for _ in range(r.unpack("I")[0])])
+    params = DepthParams(**{name: rows[:, k].copy() for k, name in enumerate(_DEPTH_FIELDS)})
 
     trie = _read_trie(r, grammar.num_rules)
     if r.pos != len(payload):

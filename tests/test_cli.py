@@ -4,12 +4,18 @@ import sys
 
 import pytest
 
+import hpyparse.cli
+import hpyparse.hypergraph
 import hpyparse.model
-from hpyparse.cli import main
+from hpyparse.cli import _decode_one, main
+from hpyparse.config import RunConfig
+from hpyparse.errors import DataError
 from hpyparse.pcfg import cyk_viterbi
 from hpyparse.serialize import load_model_file
 from hpyparse.transforms import unbinarize_right
 from hpyparse.trees import replace_leaves, write_tree
+
+from .conftest import AMBIGUOUS_SENTENCE
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 TRAIN = os.path.join(DATA, "toy_parse_train.mrg")
@@ -135,6 +141,45 @@ def test_predict_with_worker_pool(trained, tmp_path, capsys):
     assert code == 0
     with open(pooled) as fa, open(serial) as fb:
         assert fa.read() == fb.read()
+
+
+def test_predict_writes_each_line_as_its_sentence_is_decoded(
+    trained, tmp_path, capsys, monkeypatch
+):
+    decode = hpyparse.cli._decode_one
+
+    def fail_second(model, words, config, index):
+        if index == 1:
+            raise DataError("stop")
+        return decode(model, words, config, index)
+
+    monkeypatch.setattr(hpyparse.cli, "_decode_one", fail_second)
+    out_path = str(tmp_path / "out.txt")
+    code, _, err = run(["predict", SENTS, "--model", trained, "--output", out_path], capsys)
+    assert code == 2
+    with open(out_path) as fh:
+        assert len(fh.read().splitlines()) == 1  # the first sentence's line
+    assert err.startswith("[0] ")
+
+
+@pytest.mark.parametrize("decoder", ["cyk", "astar-full", "astar-local", "mcmc"])
+def test_decoding_enumerates_derivations_once_per_sentence(toy_model, monkeypatch, decoder):
+    calls = []
+    real = hpyparse.hypergraph.derivations
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hpyparse") and getattr(module, "derivations", None) is real:
+            monkeypatch.setattr(module, "derivations", counted)
+    config = RunConfig(decoder=decoder, iters=30, burn_in=5)
+    for index, line in enumerate(["the dog ran", " ".join(AMBIGUOUS_SENTENCE)]):
+        calls.clear()
+        outcome = _decode_one(toy_model, line.split(), config, index)
+        assert outcome.parsed and "fallback" not in outcome.note
+        assert len(calls) == 1
 
 
 def test_predict_task_mismatch_is_usage_error(trained, capsys):
@@ -284,10 +329,22 @@ def test_hyperprior_config_keys_reach_training(tmp_path, capsys):
 
 def test_bad_config_key_is_usage_error(trained, tmp_path, capsys):
     config = str(tmp_path / "bad.conf")
-    with open(config, "w") as fh:
-        fh.write("not_a_key=1\n")
-    code, _, err = run(["predict", SENTS, "--model", trained, "--config", config], capsys)
-    assert code == 1
+    predict = ["predict", SENTS, "--model", trained, "--config", config]
+    train = ["train", TRAIN, "--model", str(tmp_path / "m"), "--config", config]
+    diagnose = ["diagnose", "--model", trained, "--config", config,
+                "--sentence", "the dog ran", "--out", str(tmp_path / "diag")]
+    for args, text in [
+        (predict, "not_a_key=1\n"),
+        (predict + ["--seed", "-1"], ""),
+        (diagnose + ["--seed", "-1"], ""),
+        (train, "beta_a=nan\n"),
+        (train, "gamma_rate=inf\n"),
+    ]:
+        with open(config, "w") as fh:
+            fh.write(text)
+        code, _, err = run(args, capsys)
+        assert code == 1, (args, text, err)
+        assert err.startswith("usage error:")
 
 
 def test_invalid_decoder_flags_rejected(trained, capsys):

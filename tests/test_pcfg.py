@@ -1,22 +1,31 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from hpyparse.errors import DataError
+from hpyparse.events import leftmost_walk
+from hpyparse.grammar import Rule, Sym
+from hpyparse.hypergraph import build_hypergraph
 from hpyparse.model import build_grammar
 from hpyparse.pcfg import (
     NEG_INF,
+    Pcfg,
     cyk_viterbi,
     estimate_mle,
     inside,
     sample_tree,
+    sampling_pick,
     sentence_log_prob,
     tree_log_prob_under_pcfg,
 )
-from hpyparse.trees import read_tree, read_treebank, write_tree
+from hpyparse.transforms import binarize_right, pos_to_tree
+from hpyparse.trees import read_tag_corpus, read_tree, read_treebank, write_tree
 
 from .oracles import enumerate_parses, tree_prob
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
 AMBIGUOUS = [
     "(S (S (A a) (A a)) (A a))",
@@ -89,12 +98,9 @@ def test_inside_unparseable_is_neg_inf_not_crash():
     assert sentence_log_prob(pcfg, chart) == NEG_INF
 
 
-def test_inside_monotone_under_added_rule():
-    # Paired run: the same table with one extra rule at zero vs positive
-    # mass. Strictly more derivations can never shrink a chart entry.
-    from hpyparse.grammar import Rule, Sym
-    from hpyparse.pcfg import Pcfg
-
+def zero_rule_pair():
+    """The same table with one extra rule, B -> A A, at zero and at
+    positive mass: (small, big)."""
     trees = [read_tree(line) for line in AMBIGUOUS + ["(S (B (A a) (A a)) (A a))"]]
     grammar = build_grammar(trees)
     pcfg = estimate_mle(grammar, trees)
@@ -102,8 +108,12 @@ def test_inside_monotone_under_added_rule():
     extra = grammar.rule_id(Rule(b, (Sym(False, a), Sym(False, a))))
     without = pcfg.rule_probs.copy()
     without[extra] = 0.0
-    small = Pcfg(grammar, without, pcfg.lhs_freq)
-    big = Pcfg(grammar, pcfg.rule_probs, pcfg.lhs_freq)
+    return Pcfg(grammar, without, pcfg.lhs_freq), pcfg
+
+
+def test_inside_monotone_under_added_rule():
+    # Paired run: strictly more derivations can never shrink a chart entry.
+    small, big = zero_rule_pair()
     words = ["a"] * 4
     lo = inside(small, words).scores
     hi = inside(big, words).scores
@@ -127,6 +137,69 @@ def test_cyk_matches_enumeration_argmax():
         best = max(tree_prob(grammar, pcfg.rule_probs, t) for t in trees)
         got = cyk_viterbi(pcfg, words)
         assert tree_prob(grammar, pcfg.rule_probs, got) == pytest.approx(best, rel=1e-12)
+
+
+def toy_cases():
+    """(pcfg, sentences) for the shipped toy parse and tag corpora and
+    for the zero-probability table of ``zero_rule_pair``."""
+    def read(name):
+        with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+            return fh.read()
+
+    parse, _ = read_treebank(read("toy_parse_train.mrg"))
+    tag = [(w, pos_to_tree(t, w)) for w, t in read_tag_corpus(read("toy_tag_train.txt"))]
+    cases = []
+    for corpus, held_out in (
+        (parse, "toy_parse_test_sentences.txt"),
+        (tag, "toy_tag_test_sentences.txt"),
+    ):
+        trees = [binarize_right(tree) for _, tree in corpus]
+        grammar = build_grammar(trees)
+        sentences = [words for words, _ in corpus]
+        sentences += [line.split() for line in read(held_out).splitlines()]
+        cases.append((estimate_mle(grammar, trees), sentences))
+    small, _ = zero_rule_pair()
+    cases.append((small, [["a"] * n for n in range(1, 6)]))
+    return cases
+
+
+def test_inside_over_the_hypergraph_equals_the_full_chart():
+    for pcfg, sentences in toy_cases():
+        for words in sentences:
+            hg = build_hypergraph(pcfg.grammar, words)
+            full = inside(pcfg, words)
+            folded = inside(pcfg, words, "sum", hg.derivations)
+            for node in hg.nodes:
+                assert folded.scores[node] == full.scores[node]
+            if sentence_log_prob(pcfg, full) == NEG_INF:
+                continue
+            root = (pcfg.grammar.root, 0, len(words))
+            picks = [
+                sampling_pick(pcfg, chart, np.random.default_rng(3)) for chart in (full, folded)
+            ]
+            for _ in range(20):
+                walks = [leftmost_walk(pcfg.grammar, root, pick) for pick in picks]
+                assert walks[0] == walks[1]
+
+
+def test_cyk_never_uses_a_zero_probability_rule():
+    grammar, pcfg = fit(["(S (A a) (B b))", "(S (A a) (A a))"])
+    a, b = grammar.nonterminals.id("A"), grammar.nonterminals.id("B")
+    probs = pcfg.rule_probs.copy()
+    probs[grammar.rule_id(Rule(grammar.root, (Sym(False, a), Sym(False, b))))] = 0.0
+    zeroed = Pcfg(grammar, probs, pcfg.lhs_freq)
+    assert cyk_viterbi(pcfg, ["a", "b"]) is not None
+    assert cyk_viterbi(zeroed, ["a", "b"]) is None  # its only derivation
+    assert write_tree(cyk_viterbi(zeroed, ["a", "a"])) == "(S (A a) (A a))"
+    small, _ = zero_rule_pair()
+    grammar = small.grammar
+    for n in range(2, 6):
+        words = ["a"] * n
+        got = tree_log_prob_under_pcfg(small, cyk_viterbi(small, words))
+        parses = enumerate_parses(grammar, words)
+        best = max(tree_prob(grammar, small.rule_probs, t) for t in parses)
+        assert got > NEG_INF
+        assert got == pytest.approx(math.log(best), rel=1e-12)
 
 
 def test_cyk_no_parse_returns_none():
