@@ -14,14 +14,14 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, TextIO
 
 import numpy as np
 
 from .astar import astar_parse
 from .config import RunConfig, build_config, parse_config_text
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, file_errors
 from .hypergraph import build_hypergraph
 from .hpyp import log_posterior
 from .mcmc import mbr_decode, mh_sample, most_frequent_tree
@@ -107,32 +107,16 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_values = parse_config_text(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeError) as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
-    overrides = {
-        key: getattr(args, key, None)
-        for key in (
-            "task",
-            "context_mode",
-            "base",
-            "decoder",
-            "beam",
-            "iters",
-            "burn_in",
-            "seed",
-            "rare_threshold",
-            "max_len",
-        )
-    }
+    # RunConfig fields without a flag read None and are skipped
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     return build_config(file_values, overrides)
 
 
 def _read_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    with file_errors("read", path), open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 # -- train ---------------------------------------------------------------
@@ -262,7 +246,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     sentences = [
         line.split() for line in _read_text(args.input).splitlines() if line.strip()
     ]
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+    out: TextIO = sys.stdout
+    if args.output:
+        with file_errors("write", args.output):
+            out = open(args.output, "w", encoding="utf-8")
     try:
         items = list(enumerate(sentences))
         if config.workers > 1:
@@ -343,7 +330,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_diagnose(args: argparse.Namespace) -> int:
     config = _load_config(args)
     model = load_model_file(args.model)
-    os.makedirs(args.out, exist_ok=True)
+    with file_errors("create", args.out):
+        os.makedirs(args.out, exist_ok=True)
 
     print("depth  discount  concentration  restaurants  customers")
     per_depth: dict[int, list[int]] = {}

@@ -4,6 +4,9 @@ The CLI maps these onto exit codes: UsageError -> 1, DataError -> 2,
 anything else -> 3.
 """
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class UsageError(Exception):
     """Bad flags, bad config values, or an inconsistent run request."""
@@ -30,3 +33,14 @@ class GrammarError(DataError):
 class ModelFormatError(DataError):
     """Version mismatch, truncation, checksum failure, or a payload that
     does not describe a valid model."""
+
+
+@contextmanager
+def file_errors(action: str, path: str) -> Iterator[None]:
+    """Turn an ``OSError`` or a text decoding error raised in the block
+    into a DataError naming ``path``: a file that cannot be read or
+    written is bad input."""
+    try:
+        yield
+    except (OSError, UnicodeError) as exc:
+        raise DataError(f"cannot {action} {path}: {exc}") from exc

@@ -10,9 +10,13 @@ context alphabets are supported:
     child slot that was descended into, so the frontier symbol is still
     recoverable from the final element.
 
-``root_context`` and ``child_context`` state that rule once, for events
-read off trees (``extract_events``) and off derivations, grown one
-expansion at a time (A*) or walked whole (``leftmost_walk``).
+``root_context`` and ``child_items`` state that rule once. A* applies it
+one expansion at a time; ``leftmost_walk`` applies it along a whole
+derivation, as (item, context, edge) steps, asking a callback for each
+item's edge. A tree is a derivation too: ``tree_edges`` reads its
+(rule, split) edges off its spans, ``tree_steps`` replays them through
+the walk, and the tree's events (``extract_events``) are its steps'
+(context, rule) pairs.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from typing import Callable, NamedTuple
 
 from .errors import DataError
 from .grammar import Grammar, Rule, Sym
-from .hypergraph import Edge, Node, Step, _child_spans
-from .trees import Tree
+from .hypergraph import Edge, Node, Step
+from .trees import Tree, annotate_spans
 
 NONTERMINAL_CONTEXT = "nonterminal"
 RULE_CONTEXT = "rule"
@@ -83,28 +87,22 @@ def root_context(root: int, mode: str) -> tuple[int, ...]:
     return (root,) if mode == NONTERMINAL_CONTEXT else ()
 
 
-def child_context(
-    context: tuple[int, ...], rule_id: int, slot: int, child: int, mode: str
-) -> tuple[int, ...]:
-    """Context of the nonterminal ``child`` in ``slot`` of rule ``rule_id``,
-    applied under ``context``."""
-    if mode == NONTERMINAL_CONTEXT:
-        return context + (child,)
-    return context + (rule_context_element(rule_id, slot),)
-
-
 def child_items(
     grammar: Grammar, item: Node, context: tuple[int, ...], edge: Edge, mode: str
 ) -> list[tuple[Node, tuple[int, ...]]]:
     """The nonterminal child items of an expansion, left to right, each
-    with the context its own expansion is scored under."""
+    with the context its own expansion is scored under: ``context`` plus
+    the child's label (nonterminal mode) or the rule fused with the
+    child's slot (rule mode)."""
     rule_id, split = edge
-    rule = grammar.rules[rule_id]
+    rhs = grammar.rules[rule_id].rhs
     _, i, j = item
+    spans = ((i, j),) if len(rhs) == 1 else ((i, split), (split, j))
     out: list[tuple[Node, tuple[int, ...]]] = []
-    for slot, (sym, (a, b)) in enumerate(zip(rule.rhs, _child_spans(rule, i, j, split))):
+    for slot, (sym, (a, b)) in enumerate(zip(rhs, spans)):
         if not sym.terminal:
-            out.append(((sym.id, a, b), child_context(context, rule_id, slot, sym.id, mode)))
+            element = sym.id if mode == NONTERMINAL_CONTEXT else rule_context_element(rule_id, slot)
+            out.append(((sym.id, a, b), context + (element,)))
     return out
 
 
@@ -116,7 +114,7 @@ def leftmost_walk(
 
     ``pick`` is called in that order (a parent before its children, a left
     subtree before its right sibling), so it may draw random numbers or
-    replay decisions. It is also the order of ``extract_events``.
+    replay decisions, such as a tree's ``tree_edges``.
     """
     steps: list[Step] = []
     stack = [(root, root_context(root[0], mode))]
@@ -128,18 +126,33 @@ def leftmost_walk(
     return steps
 
 
+def tree_edges(grammar: Grammar, tree: Tree) -> list[Edge]:
+    """Each internal node's (rule id, split) in pre-order; a binary node's
+    split is where its first child's span ends. A tree without spans is
+    given them first."""
+    if tree.span is None:
+        annotate_spans(tree)
+    edges: list[Edge] = []
+    for node in tree.internal_nodes():
+        rule_id = grammar.rule_id(node_rule(grammar, node))
+        if len(node.children) == 1:
+            edges.append((rule_id, -1))
+        else:
+            first = node.children[0]
+            split = first.span[1] if isinstance(first, Tree) else node.span[0] + 1
+            edges.append((rule_id, split))
+    return edges
+
+
+def tree_steps(grammar: Grammar, tree: Tree, mode: str = NONTERMINAL_CONTEXT) -> list[Step]:
+    """The tree's derivation: its ``tree_edges`` replayed through
+    ``leftmost_walk`` from the root item."""
+    replay = iter(tree_edges(grammar, tree))
+    root = (grammar.nonterminals.id(tree.label),) + tree.span
+    return leftmost_walk(grammar, root, lambda _: next(replay), mode)
+
+
 def extract_events(tree: Tree, grammar: Grammar, mode: str = NONTERMINAL_CONTEXT) -> list[Event]:
-    """One event per internal node, in preorder."""
-    events: list[Event] = []
-    root = grammar.nonterminals.id(tree.label)
-    stack: list[tuple[Tree, tuple[int, ...]]] = [(tree, root_context(root, mode))]
-    while stack:
-        node, context = stack.pop()
-        rule = node_rule(grammar, node)
-        rule_id = grammar.rule_id(rule)
-        events.append(Event(context, rule_id))
-        for slot, child in reversed(list(enumerate(node.children))):
-            if isinstance(child, Tree):
-                sym = rule.rhs[slot].id
-                stack.append((child, child_context(context, rule_id, slot, sym, mode)))
-    return events
+    """One event per internal node, in pre-order: the (context, rule) of
+    each step of the tree's derivation."""
+    return [Event(context, edge[0]) for _, context, edge in tree_steps(grammar, tree, mode)]

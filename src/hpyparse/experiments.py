@@ -22,7 +22,7 @@ import numpy as np
 from .config import RunConfig
 from .hypergraph import build_hypergraph, enumerate_trees
 from .model import TASK_TAG, TrainedModel, train_model
-from .pcfg import cyk_viterbi
+from .pcfg import best_tree
 from .synthetic import TagChainSpec, generate_tag_corpus
 from .transforms import pos_to_tree
 from .trees import Tree, write_tree
@@ -78,7 +78,7 @@ def run_depth_effect(
         gold = write_tree(pos_to_tree(tags, words))
         hg = build_hypergraph(model.grammar, words)
         candidates = list(enumerate_trees(hg, limit=enumeration_limit))
-        viterbi = cyk_viterbi(model.pcfg, words)
+        viterbi = best_tree(hg, lambda _, edge: model.pcfg.log_probs[edge[0]])
         if viterbi is not None and write_tree(viterbi) == gold:
             correct["pcfg"] += 1
         for cap in caps:

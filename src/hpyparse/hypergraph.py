@@ -11,10 +11,11 @@ Parsing*). The hypergraph keeps exactly the items that are derivable
 bottom-up *and* reachable from the root item, so every retained node
 takes part in at least one complete tree; its pruned list is the one
 enumeration a decoder makes per sentence, and every chart it reads is a
-fold over that list. Top-down decoders walk edges from the root
-(``events.leftmost_walk``); the edge encoding (rule id, split)
-determines child spans and kinds, and ``build_tree`` turns the walk's
-steps into a tree.
+fold over that list. Each derivation stores its edge's tail items, so
+counting and enumerating trees read tails from the list. Top-down
+decoders walk edges from the root (``events.leftmost_walk``, where the
+edge encoding (rule id, split) gives child spans and kinds), and
+``build_tree`` turns the walk's steps into a tree.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .errors import DataError
-from .grammar import Grammar, Rule
+from .grammar import Grammar
 from .trees import Sentence, Tree
 
 Node = tuple[int, int, int]  # (nonterminal id, start, end)
@@ -45,22 +46,6 @@ class Hypergraph:
     @property
     def empty(self) -> bool:
         return self.root is None
-
-    def edge_tails(self, head: Node, edge: Edge) -> list[Node]:
-        """Nonterminal child items of an edge, left to right."""
-        rule = self.grammar.rules[edge[0]]
-        _, i, j = head
-        out: list[Node] = []
-        for sym, (a, b) in zip(rule.rhs, _child_spans(rule, i, j, edge[1])):
-            if not sym.terminal:
-                out.append((sym.id, a, b))
-        return out
-
-
-def _child_spans(rule: Rule, i: int, j: int, split: int) -> list[tuple[int, int]]:
-    if len(rule.rhs) == 1:
-        return [(i, j)]
-    return [(i, split), (split, j)]
 
 
 def derivations(grammar: Grammar, words: Sentence) -> list[Derivation]:
@@ -204,6 +189,7 @@ def enumerate_trees(hg: Hypergraph, limit: int | None = None) -> Iterator[Tree]:
         return
     assert hg.root is not None
     produced = 0
+    tails = {(head, edge): items for head, edge, items in hg.derivations}
     # A state is the steps taken so far in leftmost order and the items
     # still open, leftmost first. Alternatives are pushed last edge first,
     # so trees come out ordered by their edge choices in pre-order. No
@@ -214,8 +200,7 @@ def enumerate_trees(hg: Hypergraph, limit: int | None = None) -> Iterator[Tree]:
         if frontier:
             item, rest = frontier[0], frontier[1:]
             for edge in reversed(hg.edges[item]):
-                tails = tuple(hg.edge_tails(item, edge))
-                stack.append((steps + ((item, (), edge),), tails + rest))
+                stack.append((steps + ((item, (), edge),), tails[item, edge] + rest))
             continue
         produced += 1
         if limit is not None and produced > limit:

@@ -6,7 +6,9 @@ and accepts with the standard independence-proposal ratio; on rejection
 the previous state is retained. Both log probabilities are sums over the
 steps, post-burn-in states count their items' (label, span) pairs, and a
 tree is built once per distinct kept state. The decoder picks the tree
-in the hypergraph whose total span count is maximal.
+in the hypergraph whose total span count is maximal; a given tree's
+span count is summed over the items of its derivation
+(``events.tree_steps``), as a state's counts are.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .events import leftmost_walk
+from .events import leftmost_walk, tree_steps
 from .hypergraph import Hypergraph, Step, build_tree
 from .model import TrainedModel
 from .pcfg import NEG_INF, InsideChart, derivation_log_prob, inside, sampling_pick
@@ -109,13 +111,9 @@ def mh_sample(
 
 
 def span_count_objective(stats: SampleStats, tree: Tree, grammar) -> int:
-    """Total sampled-span count collected by a tree's internal nodes."""
-    total = 0
-    for node in tree.internal_nodes():
-        assert node.span is not None
-        nt = grammar.nonterminals.id(node.label)
-        total += stats.span_counts.get((nt, node.span[0], node.span[1]), 0)
-    return total
+    """Total sampled-span count collected by the items of a tree's derivation."""
+    counts = stats.span_counts
+    return sum(counts.get(item, 0) for item, _, _ in tree_steps(grammar, tree))
 
 
 def mbr_decode(stats: SampleStats, hg: Hypergraph) -> Tree:

@@ -11,7 +11,9 @@ inside chart folds its edges in the sum (or max) semiring and skips
 those a zero-probability rule scores ``-inf``, the sampler draws from
 the kept edges, and ``best_tree``, the max-plus fold that CYK and MBR
 decoding share, picks each item's best edge. Standalone ``inside``
-folds its own enumeration and so fills every derivable cell.
+folds its own enumeration and so fills every derivable cell. Trees are
+read as derivations (``events.tree_edges``): MLE counts the rule ids of
+each tree's edges, and a tree's log probability sums its steps'.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import DataError
 from .grammar import Grammar
-from .events import leftmost_walk, node_rule
+from .events import leftmost_walk, tree_edges, tree_steps
 from .hypergraph import Derivation, Edge, Hypergraph, Node, Step, build_tree, derivations
 from .hypergraph import build_hypergraph
 from .trees import Sentence, Tree
@@ -56,9 +58,8 @@ def estimate_mle(grammar: Grammar, trees: list[Tree]) -> Pcfg:
         raise DataError("cannot estimate a grammar from an empty corpus")
     rule_counts = np.zeros(grammar.num_rules)
     for tree in trees:
-        for node in tree.internal_nodes():
-            rule = node_rule(grammar, node)
-            rule_counts[grammar.rule_id(rule)] += 1
+        for rule_id, _ in tree_edges(grammar, tree):
+            rule_counts[rule_id] += 1
     lhs_totals = np.zeros(len(grammar.nonterminals))
     for rid, rule in enumerate(grammar.rules):
         lhs_totals[rule.lhs] += rule_counts[rid]
@@ -233,9 +234,5 @@ def derivation_log_prob(pcfg: Pcfg, steps: list[Step]) -> float:
 
 
 def tree_log_prob_under_pcfg(pcfg: Pcfg, tree: Tree) -> float:
-    """Sum of rule log-probabilities for every internal node."""
-    total = 0.0
-    for node in tree.internal_nodes():
-        rid = pcfg.grammar.rule_id(node_rule(pcfg.grammar, node))
-        total += float(pcfg.log_probs[rid])
-    return total
+    """Sum of the rule log-probabilities of the tree's derivation."""
+    return derivation_log_prob(pcfg, tree_steps(pcfg.grammar, tree))

@@ -25,7 +25,7 @@ import struct
 
 import numpy as np
 
-from .errors import GrammarError, ModelFormatError
+from .errors import GrammarError, ModelFormatError, file_errors
 from .grammar import Grammar, Sym
 from .hpyp import ContextTrie, DepthParams, Restaurant
 from .model import TASK_PARSE, TASK_TAG, TrainedModel, make_base
@@ -246,10 +246,11 @@ def _read_payload(payload: bytes) -> TrainedModel:
 
 
 def save_model_file(model: TrainedModel, path: str) -> None:
-    with open(path, "wb") as fh:
+    with file_errors("write", path), open(path, "wb") as fh:
         fh.write(save_model(model))
 
 
 def load_model_file(path: str) -> TrainedModel:
-    with open(path, "rb") as fh:
-        return load_model(fh.read())
+    with file_errors("read", path), open(path, "rb") as fh:
+        data = fh.read()
+    return load_model(data)

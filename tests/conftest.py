@@ -1,5 +1,9 @@
+import sys
+
 import pytest
 from hypothesis import settings
+
+import hpyparse.hypergraph
 
 from hpyparse.config import RunConfig
 from hpyparse.model import train_model
@@ -64,3 +68,20 @@ def toy_model(toy_corpus):
 @pytest.fixture(scope="session")
 def toy_model_and_stats(toy_corpus):
     return train_model(toy_corpus, RunConfig(rare_threshold=0))
+
+
+@pytest.fixture
+def derivation_calls(monkeypatch):
+    """The calls made to ``hypergraph.derivations`` under every name that
+    ``hpyparse`` modules import it as, for tests that count enumerations."""
+    calls = []
+    real = hpyparse.hypergraph.derivations
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hpyparse") and getattr(module, "derivations", None) is real:
+            monkeypatch.setattr(module, "derivations", counted)
+    return calls

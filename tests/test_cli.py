@@ -5,7 +5,6 @@ import sys
 import pytest
 
 import hpyparse.cli
-import hpyparse.hypergraph
 import hpyparse.model
 from hpyparse.cli import _decode_one, main
 from hpyparse.config import RunConfig
@@ -163,23 +162,13 @@ def test_predict_writes_each_line_as_its_sentence_is_decoded(
 
 
 @pytest.mark.parametrize("decoder", ["cyk", "astar-full", "astar-local", "mcmc"])
-def test_decoding_enumerates_derivations_once_per_sentence(toy_model, monkeypatch, decoder):
-    calls = []
-    real = hpyparse.hypergraph.derivations
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("hpyparse") and getattr(module, "derivations", None) is real:
-            monkeypatch.setattr(module, "derivations", counted)
+def test_decoding_enumerates_derivations_once_per_sentence(toy_model, derivation_calls, decoder):
     config = RunConfig(decoder=decoder, iters=30, burn_in=5)
     for index, line in enumerate(["the dog ran", " ".join(AMBIGUOUS_SENTENCE)]):
-        calls.clear()
+        derivation_calls.clear()
         outcome = _decode_one(toy_model, line.split(), config, index)
         assert outcome.parsed and "fallback" not in outcome.note
-        assert len(calls) == 1
+        assert len(derivation_calls) == 1
 
 
 def test_predict_task_mismatch_is_usage_error(trained, capsys):
@@ -339,9 +328,10 @@ def test_bad_config_key_is_usage_error(trained, tmp_path, capsys):
         (diagnose + ["--seed", "-1"], ""),
         (train, "beta_a=nan\n"),
         (train, "gamma_rate=inf\n"),
+        (train, b"seed=1 # \xff\n"),
     ]:
-        with open(config, "w") as fh:
-            fh.write(text)
+        with open(config, "wb") as fh:
+            fh.write(text if isinstance(text, bytes) else text.encode())
         code, _, err = run(args, capsys)
         assert code == 1, (args, text, err)
         assert err.startswith("usage error:")
@@ -418,3 +408,34 @@ def test_trees_deeper_than_the_recursion_limit_never_exit_3(tmp_path, capsys):
         sys.setrecursionlimit(saved)
     for code, _, err in results:
         assert code == 0 or (code == 2 and err.startswith("data error:")), err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["predict", SENTS, "--model", "{missing}"],
+        ["predict", SENTS, "--model", "{dir}"],
+        ["diagnose", "--model", "{missing}"],
+        ["diagnose", "--model", "{dir}"],
+        ["train", "{latin1}", "--model", "{missing}.model"],
+        ["train", TRAIN, "--model", "{missing}/m.model"],
+        ["train", TRAIN, "--model", "{file}/m.model"],
+        ["predict", SENTS, "--model", "{trained}", "--output", "{missing}/out.txt"],
+        ["predict", SENTS, "--model", "{trained}", "--output", "{file}/out.txt"],
+        ["diagnose", "--model", "{trained}", "--out", "{file}"],
+        ["diagnose", "--model", "{trained}", "--out", "{file}/diag"],
+    ],
+)
+def test_unreadable_or_unwritable_files_are_data_errors(trained, tmp_path, capsys, args):
+    (tmp_path / "file").write_text("not a directory\n")
+    (tmp_path / "latin1.mrg").write_bytes("(S (A caf\xe9))\n".encode("latin-1"))
+    paths = {
+        "latin1": str(tmp_path / "latin1.mrg"),
+        "missing": str(tmp_path / "missing"),
+        "dir": str(tmp_path),
+        "file": str(tmp_path / "file"),
+        "trained": trained,
+    }
+    code, _, err = run([arg.format(**paths) for arg in args], capsys)
+    assert code == 2, err
+    assert err.startswith("data error:")

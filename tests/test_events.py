@@ -1,19 +1,27 @@
+import os
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given
 
+from hpyparse.config import RunConfig
 from hpyparse.events import (
+    CONTEXT_MODES,
     NONTERMINAL_CONTEXT,
     RULE_CONTEXT,
     extract_events,
     frontier_nonterminal,
+    leftmost_walk,
     register_rules,
+    tree_steps,
 )
 from hpyparse.grammar import Grammar
-from hpyparse.model import build_grammar
+from hpyparse.hypergraph import build_hypergraph, build_tree
+from hpyparse.model import build_grammar, train_model
+from hpyparse.pcfg import NEG_INF, inside, sampling_pick, sentence_log_prob
 from hpyparse.signatures import replace_rare_words
-from hpyparse.trees import read_tree
+from hpyparse.trees import read_tag_corpus, read_tree, read_treebank
 from hpyparse.transforms import binarize_right, pos_to_tree
 
 from .strategies import trees
@@ -119,3 +127,52 @@ def test_training_preprocessing_handles_trees_deeper_than_the_recursion_limit(
     events = extract_events(replaced, grammar)
     assert len(events) == 2 * n
     assert max(len(context) for context, _ in events) == n + 1
+
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "data")
+
+
+def _read(name: str) -> str:
+    with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+@pytest.fixture(scope="module")
+def toy_models():
+    """The toy parse and tag models, each with its held-out sentences."""
+    parse_corpus, _ = read_treebank(_read("toy_parse_train.mrg"))
+    tag_corpus = [(w, pos_to_tree(t, w)) for w, t in read_tag_corpus(_read("toy_tag_train.txt"))]
+    out = {}
+    for task, corpus, sentences in (
+        ("parse", parse_corpus, "toy_parse_test_sentences.txt"),
+        ("tag", tag_corpus, "toy_tag_test_sentences.txt"),
+    ):
+        model, _ = train_model(corpus, RunConfig(task=task, rare_threshold=0))
+        out[task] = (model, [line.split() for line in _read(sentences).splitlines() if line.strip()])
+    return out
+
+
+@pytest.mark.parametrize("mode", CONTEXT_MODES)
+@pytest.mark.parametrize("task", ["parse", "tag"])
+def test_a_trees_steps_are_the_derivation_that_built_it(toy_models, task, mode):
+    model, sentences = toy_models[task]
+    grammar = model.grammar
+    rng = np.random.default_rng(0)
+    checked = 0
+    for words in sentences:
+        words = model.mapper.map_sentence(words)
+        hg = build_hypergraph(grammar, words)
+        if hg.empty:
+            continue
+        chart = inside(model.pcfg, words, "sum", hg.derivations)
+        if sentence_log_prob(model.pcfg, chart) == NEG_INF:
+            continue
+        pick = sampling_pick(model.pcfg, chart, rng)
+        for _ in range(5):
+            steps = leftmost_walk(grammar, hg.root, pick, mode)
+            tree = build_tree(grammar, words, steps)
+            assert tree_steps(grammar, tree, mode) == steps
+            events = extract_events(tree, grammar, mode)
+            assert events == [(context, rule_id) for _, context, (rule_id, _) in steps]
+            checked += 1
+    assert checked >= 10

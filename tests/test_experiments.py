@@ -39,3 +39,8 @@ def test_exact_decode_prefers_higher_scores(toy_model):
     best = exact_decode(toy_model, candidates, None)
     scores = [toy_model.tree_log_prob(t) for t in candidates]
     assert toy_model.tree_log_prob(best) == max(scores)
+
+
+def test_depth_effect_enumerates_each_held_out_sentence_once(derivation_calls):
+    run_depth_effect(train_size=60, test_size=10)
+    assert len(derivation_calls) == 10
