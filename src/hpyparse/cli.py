@@ -178,7 +178,7 @@ def _decode_one(model: TrainedModel, words: list[str], config: RunConfig, index:
     else:
         hg = build_hypergraph(model.grammar, mapped)
         if not hg.empty:
-            chart = inside(model.pcfg, mapped, "sum", hg.derivations)
+            chart = inside(model.pcfg, mapped, hg.derivations)
             if config.decoder in ("astar-full", "astar-local"):
                 result = astar_parse(
                     model,
@@ -381,7 +381,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         mapped = model.mapper.map_sentence(words)
         rng = np.random.default_rng(config.seed)
         hg = build_hypergraph(model.grammar, mapped)
-        chart = inside(model.pcfg, mapped, "sum", hg.derivations)
+        chart = inside(model.pcfg, mapped, hg.derivations)
         root_log = sentence_log_prob(model.pcfg, chart)
         print(f"sentence-inside-logprob {root_log:.6f}")
         if root_log == NEG_INF:

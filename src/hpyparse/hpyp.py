@@ -11,7 +11,7 @@ only when no table in the restaurant already serves the dish, so per
 restaurant each dish has at most one table, and exactly one proxy
 customer per (restaurant, dish) propagates to the parent. The top
 restaurant (empty context) sends its proxies to the base distribution,
-recorded in ``base_counts``.
+one per dish it serves, so ``base_counts`` is derived from it.
 
 The trie is generic over integer contexts and integer dishes; grammar
 coupling (contexts from tree ancestors, dishes as rule ids) lives in
@@ -131,9 +131,13 @@ class ContextTrie:
 
     num_dishes: int
     root: Restaurant = field(default_factory=Restaurant)
-    base_counts: dict[int, int] = field(default_factory=dict)
     num_events: int = 0
     max_depth: int = 0
+
+    @property
+    def base_counts(self) -> dict[int, int]:
+        """Base draws per dish: the top restaurant's one proxy per dish."""
+        return self.root.tables
 
     def insert(self, context: tuple[int, ...], dish: int) -> None:
         """Seat one customer for ``dish`` at ``context``, with proxies.
@@ -161,7 +165,6 @@ class ContextTrie:
             restaurant.total_customers += 1
             if count > 1:
                 return  # existing table: no proxy continues upward
-        self.base_counts[dish] = self.base_counts.get(dish, 0) + 1
 
     def chain(self, context: tuple[int, ...]) -> list[Restaurant]:
         """Stored restaurants along the path for ``context``.

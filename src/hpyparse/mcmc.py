@@ -47,13 +47,6 @@ class SampleStats:
         for item, _, _ in steps:
             self.span_counts[item] += 1
 
-    def merge(self, other: "SampleStats") -> None:
-        """Pool counts from an independent chain."""
-        self.span_counts.update(other.span_counts)
-        self.sample_count += other.sample_count
-        self.acceptance_count += other.acceptance_count
-        self.iterations += other.iterations
-
 
 def mh_sample(
     model: TrainedModel,
@@ -75,7 +68,7 @@ def mh_sample(
         raise DataError(f"iters ({iters}) must exceed burn_in ({burn_in})")
     pcfg = model.pcfg
     if chart is None:
-        chart = inside(pcfg, words, "sum")
+        chart = inside(pcfg, words)
     if sentence_log_prob(pcfg, chart) == NEG_INF:
         raise DataError("sentence has no derivation; cannot start a chain")
     grammar = model.grammar

@@ -7,7 +7,7 @@ sampling decoder. Charts are dense log-probability tables over
 
 Every algorithm here is a fold over one derivation list. On the decode
 path that is the sentence's pruned hypergraph, enumerated once: the
-inside chart folds its edges in the sum (or max) semiring and skips
+inside chart folds its edges in the log-sum semiring and skips
 those a zero-probability rule scores ``-inf``, the sampler draws from
 the kept edges, and ``best_tree``, the max-plus fold that CYK and MBR
 decoding share, picks each item's best edge. Standalone ``inside``
@@ -78,7 +78,6 @@ class InsideChart:
     """Dense log-probability table over (nonterminal, start, end)."""
 
     scores: np.ndarray  # [num_nts, n+1, n+1]
-    mode: str  # "sum" or "max"
     # the edges folded into ``scores``, in order; those scoring -inf are left out
     derivations: list[Derivation] = field(default_factory=list)
 
@@ -104,15 +103,10 @@ def _edge_score(pcfg: Pcfg, scores, edge: Edge, tails: tuple[Node, ...]) -> floa
 
 
 def inside(
-    pcfg: Pcfg,
-    words: Sentence,
-    mode: str = "sum",
-    derivs: list[Derivation] | None = None,
+    pcfg: Pcfg, words: Sentence, derivs: list[Derivation] | None = None
 ) -> InsideChart:
-    """Inside chart: cell (A, i, j) aggregates all derivations of the span.
-
-    ``sum`` gives total probabilities (the root cell is the sentence
-    probability); ``max`` gives best-derivation (Viterbi) scores.
+    """Inside chart: cell (A, i, j) is the log total probability of all
+    derivations of the span (the root cell is the sentence probability).
 
     The fold runs over ``derivs`` (a hypergraph's, whose nodes get the
     full chart's scores, as an item's score depends only on its
@@ -120,13 +114,10 @@ def inside(
     skips the edges that score ``-inf`` and keeps the rest, in order,
     as ``chart.derivations``.
     """
-    if mode not in ("sum", "max"):
-        raise ValueError(f"bad chart mode {mode!r}")
     n = len(words)
     if n == 0:
         raise DataError("cannot build a chart for an empty sentence")
     chart = np.full((len(pcfg.grammar.nonterminals), n + 1, n + 1), NEG_INF)
-    combine = np.logaddexp if mode == "sum" else max
     if derivs is None:
         derivs = derivations(pcfg.grammar, words)
     kept: list[Derivation] = []
@@ -134,9 +125,9 @@ def inside(
         head, edge, tails = derivation
         score = _edge_score(pcfg, chart, edge, tails)
         if score != NEG_INF:
-            chart[head] = combine(chart[head], score)
+            chart[head] = np.logaddexp(chart[head], score)
             kept.append(derivation)
-    return InsideChart(chart, mode, kept)
+    return InsideChart(chart, kept)
 
 
 def sentence_log_prob(pcfg: Pcfg, chart: InsideChart) -> float:
@@ -182,9 +173,7 @@ def sampling_pick(
     pcfg: Pcfg, chart: InsideChart, rng: np.random.Generator
 ) -> Callable[[Node], Edge]:
     """A ``pick`` drawing each item's edge in proportion to its rule
-    probability times its tails' inside sums (a sum-mode chart's)."""
-    if chart.mode != "sum":
-        raise ValueError("sampling requires a sum-mode inside chart")
+    probability times its tails' inside sums."""
     assert pcfg.grammar.root is not None
     if chart.log_prob(pcfg.grammar.root, 0, chart.n) == NEG_INF:
         raise DataError("sentence has no derivation under the proposal grammar")

@@ -13,8 +13,10 @@ threshold, context cap, root id, symbol tables, known vocabulary, rules,
 PCFG tables, depth parameters, the context trie (preorder, children
 sorted by edge label, dishes sorted by id), and base draw counts. Table
 counts are not stored: under the minimal seating assumption a dish has a
-table exactly when it has a customer. All map iterations are sorted, so
-serialization is deterministic: equal models produce equal bytes.
+table exactly when it has a customer. The base draws (one per dish at the
+top restaurant) are stored, and checked against the trie on load. All map
+iterations are sorted, so serialization is deterministic: equal models
+produce equal bytes.
 """
 
 from __future__ import annotations
@@ -88,19 +90,11 @@ class _Reader:
 
 def _write_trie(w: _Writer, trie: ContextTrie) -> None:
     w.pack("QI", trie.num_events, trie.max_depth)
-    tasks: list[tuple[str, object]] = [("node", trie.root)]
-    while tasks:
-        kind, payload = tasks.pop()
-        if kind == "edge":
-            w.pack("I", payload)
-            continue
-        node: Restaurant = payload  # type: ignore[assignment]
+    for _, key, node in trie.iter_restaurants():
+        if key:
+            w.pack("I", key[-1])
         w.pairs(node.customers)
-        children = sorted(node.children.items())
-        w.pack("I", len(children))
-        for edge, child in reversed(children):
-            tasks.append(("node", child))
-            tasks.append(("edge", edge))
+        w.pack("I", len(node.children))
     w.pairs(trie.base_counts)
 
 
@@ -125,13 +119,10 @@ def _read_trie(r: _Reader, num_dishes: int) -> ContextTrie:
         child = Restaurant()
         parent.children[edge] = child
         stack.append((child, _read_restaurant_payload(r, child)))
-    return ContextTrie(
-        num_dishes=num_dishes,
-        root=root,
-        base_counts=dict(zip(*r.pairs())),
-        num_events=num_events,
-        max_depth=max_depth,
-    )
+    trie = ContextTrie(num_dishes=num_dishes, root=root, num_events=num_events, max_depth=max_depth)
+    if dict(zip(*r.pairs())) != trie.base_counts:
+        raise ModelFormatError("base draw counts do not match the top restaurant")
+    return trie
 
 
 def save_model(model: TrainedModel) -> bytes:

@@ -1,5 +1,8 @@
 """Tree transformations: right binarization and the tag-sequence encoding.
 
+Binarization, its inverse and tag read-back are ``rebuild_tree`` folds;
+the encoding builds its tree with spans set.
+
 Reserved label markers (inputs may not already use them where noted):
   * ``|``   suffix on intermediate nodes introduced by right binarization
   * ``'``   suffix on twin tags introduced by the tag-sequence encoding
@@ -90,13 +93,13 @@ def pos_to_tree(tags: list[str], words: Sentence) -> Tree:
     for tag in tags:
         if is_twin_label(tag) or tag == START_TAG:
             raise DataError(f"tag {tag!r} collides with a reserved marker")
+    n = len(tags)
     tail: Tree | None = None
-    for k in range(len(tags) - 1, -1, -1):
-        emit = Tree(twin_label(tags[k]), [words[k]])
+    for k in range(n - 1, -1, -1):
+        emit = Tree(twin_label(tags[k]), [words[k]], (k, k + 1))
         label = tags[k - 1] if k >= 1 else START_TAG
-        tail = Tree(label, [emit] if tail is None else [emit, tail])
+        tail = Tree(label, [emit] if tail is None else [emit, tail], (k, n))
     assert tail is not None
-    annotate_spans(tail)
     return tail
 
 
@@ -109,15 +112,15 @@ def tree_to_pos(tree: Tree) -> tuple[list[str], Sentence]:
     """
     tags: list[str] = []
     words: Sentence = []
-    # (parent, child) pairs, so words come off the stack in yield order
-    stack: list[tuple[Tree, Tree | str]] = [(tree, c) for c in reversed(tree.children)]
-    while stack:
-        node, child = stack.pop()
-        if isinstance(child, str):
-            if not is_twin_label(node.label) or len(node.children) != 1:
-                raise DataError(f"word {child!r} is not emitted by a twin preterminal")
-            tags.append(node.label[: -len(TWIN_SUFFIX)])
-            words.append(child)
-        else:
-            stack.extend((child, c) for c in reversed(child.children))
+
+    # a preterminal is folded right after its words, so in yield order
+    def node(current: Tree, _: list[None]) -> None:
+        for child in current.children:
+            if isinstance(child, str):
+                if not is_twin_label(current.label) or len(current.children) != 1:
+                    raise DataError(f"word {child!r} is not emitted by a twin preterminal")
+                tags.append(current.label[: -len(TWIN_SUFFIX)])
+                words.append(child)
+
+    rebuild_tree(tree, lambda _: None, node)
     return tags, words

@@ -12,10 +12,16 @@ nesting, whitespace-separated tokens:
 
 Tag corpora are lines of whitespace-separated ``word/TAG`` tokens; the
 tag is everything after the *last* slash, so words may contain slashes.
+
+A tree has two walks, each with an explicit stack so depth is not bounded
+by the recursion limit: ``Tree.internal_nodes`` (top-down, pre-order)
+and ``rebuild_tree`` (a bottom-up fold). Yields, depth, spans and the
+bracketed form are folds; ``read_tree`` sets spans as it parses.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -40,13 +46,7 @@ class Tree:
 
     def leaves(self) -> list[str]:
         out: list[str] = []
-        stack: list[Tree | str] = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, str):
-                out.append(node)
-            else:
-                stack.extend(reversed(node.children))
+        rebuild_tree(self, out.append, lambda _, __: None)
         return out
 
     def internal_nodes(self) -> Iterator["Tree"]:
@@ -64,12 +64,7 @@ class Tree:
 
     def depth(self) -> int:
         """Number of internal-node levels (a preterminal-only tree has depth 1)."""
-        depth = 0
-        level: list[Tree] = [self]
-        while level:
-            depth += 1
-            level = [c for node in level for c in node.children if isinstance(c, Tree)]
-        return depth
+        return rebuild_tree(self, lambda _: 0, lambda _, depths: 1 + max(depths))
 
 
 def rebuild_tree(
@@ -82,63 +77,47 @@ def rebuild_tree(
     ``leaf`` is called on each word in yield order; ``node`` is called on
     each internal node with its children's results, after all of them.
     """
-    stack: list[tuple[Tree, Iterator[Tree | str], list[T]]] = [
-        (tree, iter(tree.children), [])
-    ]
+    # the open node, its children not yet visited and its results so far;
+    # the stack holds the same for each of its open ancestors
+    current, pending, done = tree, iter(tree.children), []
+    stack: list[tuple[Tree, Iterator[Tree | str], list[T]]] = []
     while True:
-        current, pending, done = stack[-1]
         for child in pending:
             if isinstance(child, str):
                 done.append(leaf(child))
             else:
-                stack.append((child, iter(child.children), []))
+                stack.append((current, pending, done))
+                current, pending, done = child, iter(child.children), []
                 break
         else:
-            stack.pop()
             out = node(current, done)
             if not stack:
                 return out
-            stack[-1][2].append(out)
+            current, pending, done = stack.pop()
+            done.append(out)
 
 
 def annotate_spans(tree: Tree, start: int = 0) -> int:
-    """Fill in (start, end) token spans; returns the end of ``tree``."""
-    pos = start
-    # open nodes: the node, its start, and its children not yet visited
-    stack = [(tree, start, iter(tree.children))]
-    while stack:
-        node, begin, pending = stack[-1]
-        for child in pending:
-            if isinstance(child, str):
-                pos += 1
-            else:
-                stack.append((child, pos, iter(child.children)))
-                break
-        else:
-            node.span = (begin, pos)
-            stack.pop()
-    return pos
+    """Fill in (start, end) token spans, numbering the leaves in yield
+    order from ``start``; returns the end of ``tree``."""
+    positions = itertools.count(start)
+
+    def leaf(_: str) -> tuple[int, int]:
+        k = next(positions)
+        return k, k + 1
+
+    def node(current: Tree, spans: list[tuple[int, int]]) -> tuple[int, int]:
+        current.span = (spans[0][0], spans[-1][1])
+        return current.span
+
+    return rebuild_tree(tree, leaf, node)[1]
 
 
 def write_tree(tree: Tree) -> str:
     """Single-line bracketed form; inverse of read_tree up to whitespace."""
-    parts: list[str] = []
-    # words and closing brackets are emitted as they are popped
-    stack: list[Tree | str] = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            parts.append(node)
-        else:
-            parts.append("(" + node.label)
-            stack.append(")")
-            stack.extend(reversed(node.children))
-    out: list[str] = []
-    for i, p in enumerate(parts):
-        if i and p != ")" and not out[-1].endswith("("):
-            out.append(" ")
-        out.append(p)
-    return "".join(out).replace("( ", "(")
+    return rebuild_tree(
+        tree, lambda word: word, lambda node, parts: f"({node.label} {' '.join(parts)})"
+    )
 
 
 def _tokenize_line(line: str) -> list[str]:
@@ -152,31 +131,32 @@ def read_tree(line: str, lineno: int | None = None) -> Tree:
         raise TreebankError("empty tree", lineno)
     if tokens[0] != "(":
         raise TreebankError("tree must start with '('", lineno)
-    # the open nodes, outermost first: label and children so far
-    stack: list[tuple[str, list[Tree | str]]] = []
+    # the open nodes, outermost first: label, first word, children so far
+    stack: list[tuple[str, int, list[Tree | str]]] = []
     done: list[Tree] = []  # the root, once it is closed
     pos = 0
+    words = 0  # words read so far, so spans are set as nodes close
     while pos < len(tokens) and not done:
         token = tokens[pos]
         if token == "(":
             if pos + 1 >= len(tokens) or tokens[pos + 1] in "()":
                 raise TreebankError("missing node label", lineno)
-            stack.append((tokens[pos + 1], []))
+            stack.append((tokens[pos + 1], words, []))
             pos += 2
             continue
         pos += 1
         if token != ")":
-            stack[-1][1].append(token)
+            stack[-1][2].append(token)
+            words += 1
             continue
-        label, children = stack.pop()
+        label, start, children = stack.pop()
         if not children:
             raise TreebankError(f"node {label!r} has no children", lineno)
-        (stack[-1][1] if stack else done).append(Tree(label, children))
+        (stack[-1][2] if stack else done).append(Tree(label, children, (start, words)))
     if not done:
         raise TreebankError("unbalanced brackets: missing ')'", lineno)
     if pos != len(tokens):
         raise TreebankError("unbalanced brackets: trailing input", lineno)
-    annotate_spans(done[0])
     return done[0]
 
 

@@ -71,6 +71,15 @@ def toy_model_and_stats(toy_corpus):
 
 
 @pytest.fixture
+def default_recursion_limit():
+    """CPython's default limit, whatever another test module raised it to."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(saved)
+
+
+@pytest.fixture
 def derivation_calls(monkeypatch):
     """The calls made to ``hypergraph.derivations`` under every name that
     ``hpyparse`` modules import it as, for tests that count enumerations."""

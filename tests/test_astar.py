@@ -23,7 +23,7 @@ from .oracles import enumerate_parses
 def prepared(model, words):
     mapped = model.mapper.map_sentence(words)
     hg = build_hypergraph(model.grammar, mapped)
-    chart = inside(model.pcfg, mapped, "sum")
+    chart = inside(model.pcfg, mapped)
     return mapped, hg, chart
 
 
@@ -107,7 +107,7 @@ def test_starved_queue_falls_back_to_viterbi(toy_model):
         np.zeros_like(toy_model.pcfg.rule_probs),
         toy_model.pcfg.lhs_freq,
     )
-    dead_chart = inside(dead, mapped, "sum")
+    dead_chart = inside(dead, mapped)
     result = astar_parse(toy_model, hg, dead_chart, "full", beam=8)
     assert result.used_fallback
     assert write_tree(result.tree) == "(S (NP (DT the) (NN dog)) (VP (VB ran)))"
@@ -120,15 +120,6 @@ def test_empty_hypergraph_rejected(toy_model):
     chart = inside(model.pcfg, ["b", "a"])
     with pytest.raises(DataError):
         astar_parse(model, hg, chart, "full", None)
-
-
-def test_max_inside_chart_also_works(toy_model):
-    mapped, hg, _ = prepared(toy_model, AMBIGUOUS_SENTENCE)
-    chart = inside(toy_model.pcfg, mapped, "max")
-    result = astar_parse(toy_model, hg, chart, "full", 10**6)
-    candidates = enumerate_parses(toy_model.grammar, mapped)
-    best = max(toy_model.tree_log_prob(t) for t in candidates)
-    assert result.log_score == pytest.approx(best, abs=1e-9)
 
 
 def test_rule_context_mode_scores_consistently(toy_corpus):

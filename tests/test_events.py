@@ -1,5 +1,4 @@
 import os
-import sys
 
 import numpy as np
 import pytest
@@ -103,15 +102,6 @@ def test_register_rules_collects_each_production():
     assert "A -> x" in texts
 
 
-@pytest.fixture
-def default_recursion_limit():
-    """CPython's default limit, whatever another test module raised it to."""
-    saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    yield
-    sys.setrecursionlimit(saved)
-
-
 def test_training_preprocessing_handles_trees_deeper_than_the_recursion_limit(
     default_recursion_limit,
 ):
@@ -164,7 +154,7 @@ def test_a_trees_steps_are_the_derivation_that_built_it(toy_models, task, mode):
         hg = build_hypergraph(grammar, words)
         if hg.empty:
             continue
-        chart = inside(model.pcfg, words, "sum", hg.derivations)
+        chart = inside(model.pcfg, words, hg.derivations)
         if sentence_log_prob(model.pcfg, chart) == NEG_INF:
             continue
         pick = sampling_pick(model.pcfg, chart, rng)

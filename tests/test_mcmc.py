@@ -168,22 +168,6 @@ def test_mbr_rejects_empty_hypergraph(toy_model):
         mbr_decode(SampleStats(), hg)
 
 
-def test_stats_merge_pools_counts(toy_model):
-    words = AMBIGUOUS_SENTENCE
-    chains = []
-    for seed in (1, 2):
-        rng = np.random.default_rng(seed)
-        stats, _, _ = mh_sample(toy_model, words, 100, 10, rng)
-        chains.append(stats)
-    merged = SampleStats()
-    merged.merge(chains[0])
-    merged.merge(chains[1])
-    assert merged.sample_count == 180
-    assert merged.iterations == 200
-    total = chains[0].span_counts + chains[1].span_counts
-    assert merged.span_counts == total
-
-
 def test_most_frequent_tree_diagnostic(toy_model):
     rng = np.random.default_rng(4)
     _, samples, _ = mh_sample(toy_model, AMBIGUOUS_SENTENCE, 200, 20, rng)

@@ -168,7 +168,7 @@ def test_inside_over_the_hypergraph_equals_the_full_chart():
         for words in sentences:
             hg = build_hypergraph(pcfg.grammar, words)
             full = inside(pcfg, words)
-            folded = inside(pcfg, words, "sum", hg.derivations)
+            folded = inside(pcfg, words, hg.derivations)
             for node in hg.nodes:
                 assert folded.scores[node] == full.scores[node]
             if sentence_log_prob(pcfg, full) == NEG_INF:

@@ -111,3 +111,14 @@ def test_payload_corruption_raises_only_model_format_error(toy_model, mutations)
         load_model(_redigest(blob, bytes(payload)))
     except ModelFormatError:
         pass
+
+
+def test_base_draws_that_differ_from_the_top_restaurant_are_refused(toy_model):
+    # each dish at the top restaurant has exactly one base draw; the last
+    # four payload bytes are the last stored base count
+    blob = save_model(toy_model)
+    payload = bytearray(blob[len(MAGIC) + 10 : -32])
+    assert struct.unpack("<I", payload[-4:]) == (1,)
+    payload[-4:] = struct.pack("<I", 2)
+    with pytest.raises(ModelFormatError, match="base draw"):
+        load_model(_redigest(blob, bytes(payload)))

@@ -8,7 +8,7 @@ from hpyparse.transforms import (
     tree_to_pos,
     unbinarize_right,
 )
-from hpyparse.trees import read_tree, write_tree
+from hpyparse.trees import Tree, annotate_spans, read_tree, write_tree
 
 from .strategies import tag_sequences, trees
 
@@ -106,6 +106,33 @@ def test_pos_reserved_markers_rejected():
 def test_pos_round_trip(pair):
     tags, words = pair
     assert tree_to_pos(pos_to_tree(tags, words)) == (tags, words)
+
+
+@given(tag_sequences())
+def test_pos_to_tree_sets_the_spans_annotate_spans_gives(pair):
+    tree = pos_to_tree(*pair)
+    built = [node.span for node in tree.internal_nodes()]
+    assert annotate_spans(tree) == len(pair[0])
+    assert built == [node.span for node in tree.internal_nodes()]
+
+
+def test_tag_trees_deeper_than_the_recursion_limit(default_recursion_limit):
+    n = 1500
+    tags = [("D", "N", "V")[k % 3] for k in range(n)]
+    words = [f"w{k}" for k in range(n)]
+    tree = pos_to_tree(tags, words)
+    assert tree.depth() == n + 1
+    assert tree_to_pos(tree) == (tags, words)
+    assert tree_to_pos(read_tree(write_tree(tree))) == (tags, words)
+
+
+def test_tree_to_pos_names_the_word_without_a_twin_preterminal():
+    tree = pos_to_tree(["DT", "NN"], ["the", "dog"])
+    tree.children[1].children[0] = Tree("NN", ["dog"])
+    with pytest.raises(DataError, match="'dog' is not emitted"):
+        tree_to_pos(tree)
+    with pytest.raises(DataError, match="'dog' is not emitted"):
+        tree_to_pos(read_tree("(<S> (DT' the) (DT dog (NN' x)))"))
 
 
 def test_tree_to_pos_rejects_bare_emissions():

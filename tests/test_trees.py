@@ -4,6 +4,7 @@ from hypothesis import given
 from hpyparse.errors import DataError, TreebankError
 from hpyparse.trees import (
     Tree,
+    annotate_spans,
     read_tag_corpus,
     read_tree,
     read_treebank,
@@ -69,6 +70,34 @@ def test_write_is_independent_of_interning_order():
     one = read_tree("(S (B b) (A a))")
     # reading into a different grammar must not change the text
     assert write_tree(one) == "(S (B b) (A a))"
+
+
+def spans(tree):
+    return [node.span for node in tree.internal_nodes()]
+
+
+@given(trees())
+def test_read_tree_sets_the_spans_annotate_spans_gives(tree):
+    read = read_tree(write_tree(tree))
+    built = spans(read)
+    assert annotate_spans(read) == len(tree.leaves())
+    assert built == spans(read)
+    assert annotate_spans(read, 3) == 3 + len(tree.leaves())
+    assert spans(read) == [(i + 3, j + 3) for i, j in built]
+
+
+def test_walks_handle_trees_deeper_than_the_recursion_limit(default_recursion_limit):
+    n = 1500
+    tree = Tree("A", ["w0"])
+    for k in range(1, n):
+        tree = Tree("A", [f"w{k}", tree])
+    assert tree.depth() == n
+    assert tree.leaves() == [f"w{k}" for k in range(n - 1, -1, -1)]
+    assert annotate_spans(tree) == n
+    assert spans(tree) == [(k, n) for k in range(n)]
+    line = write_tree(tree)
+    assert line == "".join(f"(A w{k} " for k in range(n - 1, 0, -1)) + "(A w0" + ")" * n
+    assert spans(read_tree(line)) == spans(tree)
 
 
 @given(trees())
