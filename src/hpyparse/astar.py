@@ -106,6 +106,7 @@ def astar_parse(
     # both estimates are the root's inside score here
     start = Hypothesis((root_entry,), 0.0, heuristic_local_frontier([hg.root], chart), ())
 
+    lhs_position = model.grammar.lhs_position
     # Queue kept sorted ascending by (priority, -seq): the best entry sits
     # at the end (FIFO among exact ties), the worst at the front where
     # beam eviction removes it.
@@ -124,8 +125,10 @@ def astar_parse(
             log_score, used_fallback = hyp.log_score, False
             break
         (node, context), rest = hyp.frontier[0], hyp.frontier[1:]
+        # every edge of the item is scored under its one (context, lhs)
+        _, logs = model.expansion_log_probs(context, node[0])
         for edge in hg.edges[node]:
-            logp = model.expansion_log_prob(context, edge[0])
+            logp = float(logs[lhs_position[edge[0]]])
             children = child_items(hg.grammar, node, context, edge, model.context_mode)
             frontier = tuple(children) + rest
             if heuristic == HEURISTIC_FULL:

@@ -213,8 +213,16 @@ def _decode_one(model: TrainedModel, words: list[str], config: RunConfig, index:
     return DecodeOutcome(line, True, seconds, note)
 
 
+def _load_decoding_model(path: str, config: RunConfig) -> TrainedModel:
+    """Load a model to decode with, under the config's context cap if it sets one."""
+    model = load_model_file(path)
+    if config.context_cap is not None:
+        model.context_cap = config.context_cap
+    return model
+
+
 def _pool_init(model_path: str, config: RunConfig) -> None:
-    _WORKER_STATE["model"] = load_model_file(model_path)
+    _WORKER_STATE["model"] = _load_decoding_model(model_path, config)
     _WORKER_STATE["config"] = config
 
 
@@ -236,13 +244,11 @@ def _write_outcomes(outcomes: Iterable[DecodeOutcome], out: TextIO) -> None:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    model = load_model_file(args.model)
+    model = _load_decoding_model(args.model, config)
     if args.task is not None and args.task != model.task:
         raise UsageError(
             f"model was trained for task {model.task!r}, requested {args.task!r}"
         )
-    if config.context_cap is not None:
-        model.context_cap = config.context_cap
     sentences = [
         line.split() for line in _read_text(args.input).splitlines() if line.strip()
     ]
@@ -329,7 +335,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    model = load_model_file(args.model)
+    model = _load_decoding_model(args.model, config)
     with file_errors("create", args.out):
         os.makedirs(args.out, exist_ok=True)
 

@@ -183,6 +183,18 @@ class ContextTrie:
             out.append(node)
         return out
 
+    def stored_suffix(self, context: tuple[int, ...]) -> tuple[int, ...]:
+        """The context's last d elements, d the depth of its deepest stored
+        restaurant: ``chain(stored_suffix(c)) == chain(c)``."""
+        node = self.root
+        depth = 0
+        for element in reversed(context):
+            node = node.children.get(element)
+            if node is None:
+                break
+            depth += 1
+        return context[len(context) - depth :]
+
     def predictive_prob(
         self,
         context: tuple[int, ...],

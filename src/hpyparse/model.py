@@ -9,6 +9,12 @@ Decoders score rule expansions with per-frontier renormalization: the
 smoothed predictive distribution spreads mass over every rule in the
 vocabulary, so when a specific nonterminal is being expanded the mass
 is renormalized over the rules with that left-hand side.
+
+Those renormalized vectors are cached per (stored suffix, lhs): the
+context cut down to its deepest stored restaurant, which is all the
+smoothed probabilities depend on (``ContextTrie.stored_suffix``). So
+the cache holds at most one entry per stored restaurant and lhs over a
+whole decoding run, however long or novel the sentences' contexts are.
 """
 
 from __future__ import annotations
@@ -80,7 +86,7 @@ class TrainedModel:
         self, context: tuple[int, ...], lhs: int
     ) -> tuple[list[int], np.ndarray]:
         """Rule ids with lhs ``lhs`` and their renormalized log probabilities."""
-        context = self._capped(context)
+        context = self.trie.stored_suffix(self._capped(context))
         key = (context, lhs)
         got = self._expansion_cache.get(key)
         if got is not None:

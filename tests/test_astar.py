@@ -12,8 +12,10 @@ from hpyparse.config import RunConfig
 from hpyparse.errors import DataError
 from hpyparse.events import root_context
 from hpyparse.hypergraph import build_hypergraph
-from hpyparse.model import train_model
+from hpyparse.model import TrainedModel, train_model
 from hpyparse.pcfg import NEG_INF, Pcfg, inside
+from hpyparse.synthetic import generate_tag_corpus
+from hpyparse.transforms import pos_to_tree
 from hpyparse.trees import read_treebank, write_tree
 
 from .conftest import AMBIGUOUS_SENTENCE
@@ -149,3 +151,26 @@ def test_first_pop_semantics_on_divergent_instance():
     scores = sorted((model.tree_log_prob(t) for t in candidates), reverse=True)
     # deterministic documented miss: it returns the lower-scoring analysis
     assert result.log_score == pytest.approx(scores[-1], abs=1e-9)
+
+
+def test_one_expansion_lookup_per_pop(monkeypatch):
+    # Every edge of the popped item shares its (context, lhs), so the search
+    # reads one renormalized vector per expansion, not one per edge.
+    tagged = generate_tag_corpus(60, np.random.default_rng(5))
+    model, _ = train_model([(w, pos_to_tree(t, w)) for w, t in tagged], RunConfig(task="tag"))
+    lookups = []
+    real = TrainedModel.expansion_log_probs
+
+    def counted(self, context, lhs):
+        lookups.append((context, lhs))
+        return real(self, context, lhs)
+
+    monkeypatch.setattr(TrainedModel, "expansion_log_probs", counted)
+    mapped, hg, chart = prepared(model, "u u v v u v".split())
+    result = astar_parse(model, hg, chart, "full", beam=8)
+    assert not result.used_fallback
+    assert len(lookups) == result.pops - 1  # the last pop is the complete tree
+    assert (result.pops, result.pushes, result.evictions) == (37, 51, 8)
+    assert write_tree(result.tree) == (
+        "(<S> (T01' u) (T01 (T00' u) (T00 (T11' v) (T11 (T11' v) (T11 (T01' u) (T01 (T11' v)))))))"
+    )

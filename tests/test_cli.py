@@ -2,6 +2,7 @@ import functools
 import os
 import sys
 
+import numpy as np
 import pytest
 
 import hpyparse.cli
@@ -11,8 +12,9 @@ from hpyparse.config import RunConfig
 from hpyparse.errors import DataError
 from hpyparse.pcfg import cyk_viterbi
 from hpyparse.serialize import load_model_file
+from hpyparse.synthetic import TagChainSpec, generate_tag_corpus
 from hpyparse.transforms import unbinarize_right
-from hpyparse.trees import replace_leaves, write_tree
+from hpyparse.trees import replace_leaves, write_tagged, write_tree
 
 from .conftest import AMBIGUOUS_SENTENCE
 
@@ -37,6 +39,23 @@ def trained(tmp_path_factory):
     code = main(["train", TRAIN, "--model", path, "--rare-threshold", "0"])
     assert code == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def synthetic_tag(tmp_path_factory):
+    """(model path, sentences path, longest training sentence) for a seeded
+    synthetic tag chain, whose tags need more than one level of context."""
+    root = tmp_path_factory.mktemp("synthetic")
+    rng = np.random.default_rng(5)
+    train = generate_tag_corpus(150, rng)
+    test = generate_tag_corpus(12, rng, TagChainSpec(min_len=6, max_len=9))
+    train_path = root / "train.txt"
+    train_path.write_text("".join(write_tagged(w, t) + "\n" for w, t in train))
+    sents_path = root / "sents.txt"
+    sents_path.write_text("".join(" ".join(w) + "\n" for w, _ in test))
+    model = str(root / "tag.model")
+    assert main(["train", str(train_path), "--model", model, "--task", "tag"]) == 0
+    return model, str(sents_path), max(len(w) for w, _ in train)
 
 
 def test_train_reports_stats(tmp_path, capsys):
@@ -140,6 +159,50 @@ def test_predict_with_worker_pool(trained, tmp_path, capsys):
     assert code == 0
     with open(pooled) as fa, open(serial) as fb:
         assert fa.read() == fb.read()
+
+
+def test_config_context_cap_reaches_every_worker(synthetic_tag, tmp_path, capsys):
+    model, sents, _ = synthetic_tag
+    base = ["predict", sents, "--model", model, "--decoder", "astar-full", "--beam", "64"]
+    outputs = {}
+    for name, lines in [
+        ("uncapped", ""),
+        ("serial", "context_cap=1\n"),
+        ("pooled", "context_cap=1\nworkers=2\n"),
+    ]:
+        config = tmp_path / f"{name}.conf"
+        config.write_text(lines)
+        out = tmp_path / f"{name}.txt"
+        code, _, _ = run(base + ["--config", str(config), "--output", str(out)], capsys)
+        assert code == 0
+        outputs[name] = out.read_text()
+    assert outputs["pooled"] == outputs["serial"]
+    assert outputs["serial"] != outputs["uncapped"]  # the cap is felt on this input
+
+
+def test_expansion_cache_is_bounded_by_stored_restaurants(synthetic_tag):
+    path, sents, longest_training = synthetic_tag
+    model = load_model_file(path)
+    with open(sents) as fh:
+        sentences = [line.split() * 2 for line in fh if line.strip()]
+    assert min(len(words) for words in sentences) > longest_training
+    configs = [
+        RunConfig(task="tag", decoder="astar-full", beam=64),
+        RunConfig(task="tag", decoder="mcmc", iters=40, burn_in=5, seed=2),
+    ]
+
+    def decode_all():
+        for config in configs:
+            for i, words in enumerate(sentences):
+                assert _decode_one(model, words, config, i).parsed
+
+    decode_all()
+    keys = set(model._expansion_cache)
+    assert keys
+    for context, _ in keys:
+        assert len(model.trie.chain(context)) == len(context) + 1
+    decode_all()
+    assert set(model._expansion_cache) == keys
 
 
 def test_predict_writes_each_line_as_its_sentence_is_decoded(

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpyparse.config import RunConfig
 from hpyparse.errors import DataError
@@ -114,3 +116,47 @@ def test_rule_context_mode_trains(toy_corpus):
     lhs = model.grammar.root
     _, logs = model.expansion_log_probs((), lhs)
     assert np.exp(logs).sum() == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.fixture(scope="module")
+def models_by_mode(toy_corpus, toy_model):
+    """The toy model in both context modes, plus capped copies that keep
+    their caches across examples (filled on demand)."""
+    rule_model, _ = train_model(toy_corpus, RunConfig(context_mode="rule", rare_threshold=0))
+    return {"nonterminal": toy_model, "rule": rule_model}, {}
+
+
+@given(data=st.data())
+@settings(max_examples=200)
+def test_stored_suffix_keeps_every_float(models_by_mode, data):
+    models, capped_models = models_by_mode
+    mode = data.draw(st.sampled_from(sorted(models)))
+    model = models[mode]
+    trie = model.trie
+    paths = sorted(key for _, key, _ in trie.iter_restaurants())  # nearest element first
+    seen = sorted({element for key in paths for element in key})
+    never_seen = st.integers(seen[-1] + 1, seen[-1] + 4)
+    prefix = data.draw(st.lists(st.sampled_from(seen) | never_seen, max_size=trie.max_depth + 3))
+    context = tuple(prefix) + data.draw(st.sampled_from(paths))[::-1]
+    cap = data.draw(st.none() | st.integers(0, trie.max_depth + 2))
+    lhs = data.draw(st.sampled_from(
+        [nt for nt in range(len(model.grammar.nonterminals)) if model.grammar.rules_for(nt)]
+    ))
+
+    suffix = trie.stored_suffix(context)
+    assert context[len(context) - len(suffix) :] == suffix
+    assert len(trie.chain(suffix)) == len(suffix) + 1 == len(trie.chain(context))
+    dishes = list(range(trie.num_dishes))
+    assert np.array_equal(
+        trie.predictive_probs(suffix, dishes, model.params, model.base),
+        trie.predictive_probs(context, dishes, model.params, model.base),
+    )
+
+    capped_model = capped_models.setdefault(
+        (mode, cap), dataclasses.replace(model, context_cap=cap)
+    )
+    capped = context if cap is None else context[max(len(context) - cap, 0) :]
+    ids, logs = capped_model.expansion_log_probs(context, lhs)
+    assert ids == model.grammar.rules_for(lhs)
+    p = trie.predictive_probs(capped, ids, model.params, model.base)
+    assert np.array_equal(logs, np.log(p) - math.log(p.sum()))
