@@ -12,7 +12,7 @@ from .hpyp import BaseDistribution, ContextTrie, DepthParams, log_posterior
 from .optimize import optimize_params
 from .pcfg import Pcfg, cyk_viterbi, estimate_mle, inside, sample_tree
 from .hypergraph import Hypergraph, build_hypergraph
-from .astar import astar_parse, heuristic_full_frontier, heuristic_local_frontier
+from .astar import astar_parse, completion_estimate
 from .mcmc import SampleStats, mbr_decode, mh_sample
 from .metrics import exact_match, labelled_f1, sentence_accuracy, token_accuracy
 from .config import RunConfig
@@ -48,8 +48,7 @@ __all__ = [
     "Hypergraph",
     "build_hypergraph",
     "astar_parse",
-    "heuristic_full_frontier",
-    "heuristic_local_frontier",
+    "completion_estimate",
     "SampleStats",
     "mh_sample",
     "mbr_decode",

@@ -336,6 +336,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_diagnose(args: argparse.Namespace) -> int:
     config = _load_config(args)
     model = _load_decoding_model(args.model, config)
+    if args.context and model.context_mode != "nonterminal":
+        # a rule-mode context element is a (rule, child slot) pair, not a label
+        raise UsageError(f"--context needs a nonterminal-mode model, not {model.context_mode!r}")
     with file_errors("create", args.out):
         os.makedirs(args.out, exist_ok=True)
 

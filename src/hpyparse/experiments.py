@@ -42,14 +42,12 @@ class DepthEffectResult:
         return "\n".join(lines)
 
 
-def exact_decode(
-    model: TrainedModel, candidates: list[Tree], cap: int | None
-) -> Tree:
-    """Argmax over enumerated candidate trees at the given context cap."""
-    capped = dataclasses.replace(model, context_cap=cap)
+def exact_decode(model: TrainedModel, candidates: list[Tree]) -> Tree:
+    """Argmax over enumerated candidate trees under ``model`` (ties go to
+    the smallest written form)."""
     best: tuple[float, str, Tree] | None = None
     for tree in candidates:
-        score = capped.tree_log_prob(tree)
+        score = model.tree_log_prob(tree)
         key = write_tree(tree)
         if best is None or score > best[0] or (score == best[0] and key < best[1]):
             best = (score, key, tree)
@@ -73,6 +71,8 @@ def run_depth_effect(
     model, _ = train_model(train_trees, RunConfig(task=TASK_TAG))
 
     labels = ["pcfg"] + [f"cap{c}" if c is not None else "unbounded" for c in caps]
+    # one model per cap, so each keeps its expansion cache across sentences
+    capped = [dataclasses.replace(model, context_cap=c) for c in caps]
     correct = {label: 0 for label in labels}
     for words, tags in test:
         gold = write_tree(pos_to_tree(tags, words))
@@ -81,10 +81,8 @@ def run_depth_effect(
         viterbi = best_tree(hg, lambda _, edge: model.pcfg.log_probs[edge[0]])
         if viterbi is not None and write_tree(viterbi) == gold:
             correct["pcfg"] += 1
-        for cap in caps:
-            label = f"cap{cap}" if cap is not None else "unbounded"
-            decoded = exact_decode(model, candidates, cap)
-            if write_tree(decoded) == gold:
+        for label, capped_model in zip(labels[1:], capped):
+            if write_tree(exact_decode(capped_model, candidates)) == gold:
                 correct[label] += 1
 
     accuracy = {label: correct[label] / len(test) for label in labels}

@@ -3,6 +3,9 @@
 Terminals and nonterminals are interned into dense integer ids (one id
 space per kind). Rules are interned into dense rule ids. A Grammar is
 built single-writer while reading a corpus, then treated as read-only.
+The rule tables every reader looks rules up in (per lhs, by terminal,
+by left child, unary rules children first) are derived from the rule
+list once, on first use, and dropped when a rule is added.
 """
 
 from __future__ import annotations
@@ -44,6 +47,19 @@ class Rule(NamedTuple):
         return len(self.rhs) == 2
 
 
+class RuleTables(NamedTuple):
+    """Indexes over a grammar's rules; each list is in rule-id order
+    unless said otherwise."""
+
+    by_lhs: dict[int, list[int]]  # lhs -> rule ids
+    lhs_position: list[int]  # rule id -> its position in its lhs's list
+    lexical: dict[int, list[tuple[int, int]]]  # terminal -> (rule, lhs)
+    # left child (terminal flag, id) -> (rule, lhs, right child)
+    binary: dict[tuple[bool, int], list[tuple[int, int, Sym]]]
+    # (rule, lhs, child) for the unary nonterminal rules, children before parents
+    unary: list[tuple[int, int, int]]
+
+
 class SymbolTable:
     """Bidirectional text <-> dense id interning for one symbol kind."""
 
@@ -81,18 +97,15 @@ class SymbolTable:
 
 
 class Grammar:
-    """Symbol tables plus an interned rule set with per-lhs indexing."""
+    """Symbol tables plus an interned rule set and its rule tables."""
 
     def __init__(self) -> None:
         self.nonterminals = SymbolTable()
         self.terminals = SymbolTable()
         self.rules: list[Rule] = []
         self._rule_ids: dict[Rule, int] = {}
-        self.rules_by_lhs: dict[int, list[int]] = {}
-        # each rule's position in its lhs's ``rules_by_lhs`` list
-        self.lhs_position: list[int] = []
         self.root: int | None = None
-        self._unary_order: list[int] | None = None
+        self._tables: RuleTables | None = None
 
     # -- symbol interning ------------------------------------------------
 
@@ -114,10 +127,7 @@ class Grammar:
         got = len(self.rules)
         self.rules.append(rule)
         self._rule_ids[rule] = got
-        same_lhs = self.rules_by_lhs.setdefault(lhs, [])
-        self.lhs_position.append(len(same_lhs))
-        same_lhs.append(got)
-        self._unary_order = None
+        self._tables = None
         return got
 
     def rule_id(self, rule: Rule) -> int:
@@ -128,7 +138,12 @@ class Grammar:
             raise KeyError(f"rule not in grammar: {lhs} -> {self.rhs_text(rule)}") from None
 
     def rules_for(self, lhs: int) -> list[int]:
-        return self.rules_by_lhs.get(lhs, [])
+        return self.tables.by_lhs.get(lhs, [])
+
+    @property
+    def lhs_position(self) -> list[int]:
+        """Each rule's position in its lhs's ``rules_for`` list."""
+        return self.tables.lhs_position
 
     def set_root(self, nt_id: int) -> None:
         self.root = nt_id
@@ -149,22 +164,37 @@ class Grammar:
         rule = self.rules[rule_id]
         return f"{self.nonterminals.text(rule.lhs)} -> {self.rhs_text(rule)}"
 
-    # -- unary structure ---------------------------------------------------
+    # -- rule tables -------------------------------------------------------
 
-    def unary_rule_order(self) -> list[int]:
-        """Unary nonterminal rules ordered child-before-parent.
+    @property
+    def tables(self) -> RuleTables:
+        """The rule tables, derived from ``rules`` on first use.
 
-        Chart algorithms apply unary rules per cell in this order so a
-        parent can see entries produced by its (transitively) unary
-        children. Raises GrammarError if the unary rules form a cycle,
-        which would make inside sums diverge.
+        Unary rules are ordered child-before-parent, so chart algorithms
+        that apply them per cell in this order let a parent see entries
+        produced by its (transitively) unary children. Raises
+        GrammarError if the unary rules form a cycle, which would make
+        inside sums diverge.
         """
-        if self._unary_order is not None:
-            return self._unary_order
-        unary = [(rid, r) for rid, r in enumerate(self.rules) if r.is_unary]
-        children: dict[int, set[int]] = {}
-        for _, r in unary:
-            children.setdefault(r.lhs, set()).add(r.rhs[0].id)
+        if self._tables is not None:
+            return self._tables
+        by_lhs: dict[int, list[int]] = {}
+        lhs_position: list[int] = []
+        lexical: dict[int, list[tuple[int, int]]] = {}
+        binary: dict[tuple[bool, int], list[tuple[int, int, Sym]]] = {}
+        unary: list[tuple[int, int, int]] = []
+        children: dict[int, set[int]] = {}  # unary lhs -> its children
+        for rid, rule in enumerate(self.rules):
+            same_lhs = by_lhs.setdefault(rule.lhs, [])
+            lhs_position.append(len(same_lhs))
+            same_lhs.append(rid)
+            if rule.is_lexical:
+                lexical.setdefault(rule.rhs[0].id, []).append((rid, rule.lhs))
+            elif rule.is_binary:
+                binary.setdefault(rule.rhs[0], []).append((rid, rule.lhs, rule.rhs[1]))
+            else:
+                unary.append((rid, rule.lhs, rule.rhs[0].id))
+                children.setdefault(rule.lhs, set()).add(rule.rhs[0].id)
         # Kahn's algorithm over lhs -> child edges; emit nodes whose
         # children are all emitted (reverse topological).
         indeg = {a: len(cs) for a, cs in children.items()}
@@ -186,9 +216,13 @@ class Grammar:
         if len(emitted) < len(set(children) | set(parents)):
             raise GrammarError("unary rule cycle; such grammars are not supported")
         rank = {nt: i for i, nt in enumerate(emitted)}
-        order = sorted(unary, key=lambda pair: (rank[pair[1].lhs], pair[0]))
-        self._unary_order = [rid for rid, _ in order]
-        return self._unary_order
+        unary.sort(key=lambda r: (rank[r[1]], r[0]))
+        self._tables = RuleTables(by_lhs, lhs_position, lexical, binary, unary)
+        return self._tables
+
+    def unary_rule_order(self) -> list[int]:
+        """Unary nonterminal rule ids ordered child-before-parent."""
+        return [rid for rid, _, _ in self.tables.unary]
 
     def validate(self) -> None:
         """Check structural invariants after construction."""
@@ -196,14 +230,6 @@ class Grammar:
             raise GrammarError("grammar has no root symbol")
         if not 0 <= self.root < len(self.nonterminals):
             raise GrammarError("root is not an interned nonterminal")
-        seen = 0
-        for lhs, ids in self.rules_by_lhs.items():
-            for rid in ids:
-                if self.rules[rid].lhs != lhs:
-                    raise GrammarError("rules_by_lhs index is inconsistent")
-            seen += len(ids)
-        if seen != len(self.rules):
-            raise GrammarError("rules_by_lhs does not partition the rule set")
         for rule in self.rules:
             if not 0 <= rule.lhs < len(self.nonterminals):
                 raise GrammarError(f"rule lhs {rule.lhs} not interned")

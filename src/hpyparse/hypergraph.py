@@ -60,18 +60,8 @@ def derivations(grammar: Grammar, words: Sentence) -> list[Derivation]:
     """
     # unknown words get -1, which no rule matches
     word_ids = [grammar.terminals.id(w) if w in grammar.terminals else -1 for w in words]
-    lexical: dict[int, list[tuple[int, int]]] = {}  # terminal -> (rule, lhs)
-    # left child (terminal flag, id) -> (rule, lhs, right child)
-    binary: dict[tuple[bool, int], list[tuple[int, int, tuple[bool, int]]]] = {}
-    for rid, rule in enumerate(grammar.rules):
-        if rule.is_lexical:
-            lexical.setdefault(rule.rhs[0].id, []).append((rid, rule.lhs))
-        elif rule.is_binary:
-            binary.setdefault(rule.rhs[0], []).append((rid, rule.lhs, rule.rhs[1]))
-    unary = [
-        (rid, grammar.rules[rid].lhs, grammar.rules[rid].rhs[0].id)
-        for rid in grammar.unary_rule_order()
-    ]
+    tables = grammar.tables
+    lexical, binary, unary = tables.lexical, tables.binary, tables.unary
 
     n = len(words)
     cells: dict[tuple[int, int], set[int]] = {}  # derivable nonterminals per span

@@ -98,8 +98,10 @@ def _write_trie(w: _Writer, trie: ContextTrie) -> None:
     w.pairs(trie.base_counts)
 
 
-def _read_restaurant_payload(r: _Reader, node: Restaurant) -> int:
+def _read_restaurant_payload(r: _Reader, node: Restaurant, num_dishes: int) -> int:
     dishes, counts = r.pairs()
+    if dishes and max(dishes) >= num_dishes:
+        raise ModelFormatError(f"dish {max(dishes)} outside the {num_dishes} rules")
     node.customers = dict(zip(dishes, counts))
     node.total_customers = sum(counts)
     return r.unpack("I")[0]
@@ -108,17 +110,20 @@ def _read_restaurant_payload(r: _Reader, node: Restaurant) -> int:
 def _read_trie(r: _Reader, num_dishes: int) -> ContextTrie:
     num_events, max_depth = r.unpack("QI")
     root = Restaurant()
-    stack = [(root, _read_restaurant_payload(r, root))]
+    # the restaurant at stack position k has depth k
+    stack = [(root, _read_restaurant_payload(r, root, num_dishes))]
     while stack:
         parent, remaining = stack[-1]
         if remaining == 0:
             stack.pop()
             continue
+        if len(stack) > max_depth:
+            raise ModelFormatError(f"restaurant deeper than the maximum depth {max_depth}")
         stack[-1] = (parent, remaining - 1)
         (edge,) = r.unpack("I")
         child = Restaurant()
         parent.children[edge] = child
-        stack.append((child, _read_restaurant_payload(r, child)))
+        stack.append((child, _read_restaurant_payload(r, child, num_dishes)))
     trie = ContextTrie(num_dishes=num_dishes, root=root, num_events=num_events, max_depth=max_depth)
     if dict(zip(*r.pairs())) != trie.base_counts:
         raise ModelFormatError("base draw counts do not match the top restaurant")
@@ -218,10 +223,13 @@ def _read_payload(payload: bytes) -> TrainedModel:
 
     rows = np.array([r.unpack("6d") for _ in range(r.unpack("I")[0])])
     params = DepthParams(**{name: rows[:, k].copy() for k, name in enumerate(_DEPTH_FIELDS)})
+    params.check_box()
 
     trie = _read_trie(r, grammar.num_rules)
     if r.pos != len(payload):
         raise ModelFormatError("trailing bytes in model payload")
+    if params.depths < trie.depth_count():
+        raise ModelFormatError(f"{params.depths} depth rows for {trie.depth_count()} trie depths")
 
     return TrainedModel(
         grammar=grammar,

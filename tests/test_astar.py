@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hpyparse.astar import (
-    astar_parse,
-    heuristic_full_frontier,
-    heuristic_local_frontier,
-)
+from hpyparse.astar import astar_parse, completion_estimate
 from hpyparse.config import RunConfig
 from hpyparse.errors import DataError
-from hpyparse.events import root_context
 from hpyparse.hypergraph import build_hypergraph
 from hpyparse.model import TrainedModel, train_model
 from hpyparse.pcfg import NEG_INF, Pcfg, inside
@@ -61,36 +56,33 @@ def test_astar_matches_bruteforce_argmax(toy_model):
 
 
 def test_full_frontier_heuristic_values(toy_model):
+    # the full estimate passes every open frontier item
     mapped, hg, chart = prepared(toy_model, AMBIGUOUS_SENTENCE)
-    assert heuristic_full_frontier((), chart) == 0.0
-    root_entry = ((hg.root, root_context(hg.root[0], toy_model.context_mode)),)
+    assert completion_estimate([], chart) == 0.0
     root_inside = chart.log_prob(*hg.root)
-    assert heuristic_full_frontier(root_entry, chart) == pytest.approx(root_inside)
+    assert completion_estimate([hg.root], chart) == pytest.approx(root_inside)
     # sum over several frontier items equals manual accumulation
     nodes = sorted(hg.nodes)[:4]
-    frontier = tuple((n, ()) for n in nodes)
     manual = sum(chart.log_prob(*n) for n in nodes)
-    assert heuristic_full_frontier(frontier, chart) == pytest.approx(manual)
+    assert completion_estimate(nodes, chart) == pytest.approx(manual)
 
 
 def test_local_frontier_heuristic_values(toy_model):
+    # the local estimate passes just the created children: the full
+    # estimate's change when they join the rest of the frontier
     mapped, hg, chart = prepared(toy_model, AMBIGUOUS_SENTENCE)
-    assert heuristic_local_frontier([], chart) == 0.0
     nodes = sorted(hg.nodes)[:2]
     manual = sum(chart.log_prob(*n) for n in nodes)
-    assert heuristic_local_frontier(nodes, chart) == pytest.approx(manual)
-    # equals the full-frontier delta for the created children
-    rest = tuple((n, ()) for n in sorted(hg.nodes)[2:4])
-    with_children = tuple((n, ()) for n in nodes) + rest
-    delta = heuristic_full_frontier(with_children, chart) - heuristic_full_frontier(rest, chart)
-    assert heuristic_local_frontier(nodes, chart) == pytest.approx(delta)
+    assert completion_estimate(nodes, chart) == pytest.approx(manual)
+    rest = sorted(hg.nodes)[2:4]
+    delta = completion_estimate(nodes + rest, chart) - completion_estimate(rest, chart)
+    assert completion_estimate(nodes, chart) == pytest.approx(delta)
 
 
 def test_underivable_child_prunes():
     fake = np.full((3, 4, 4), NEG_INF)
     chart = type("C", (), {"log_prob": lambda self, nt, i, j: float(fake[nt, i, j]), "n": 3})()
-    assert heuristic_local_frontier([(0, 0, 1)], chart) == NEG_INF
-    assert heuristic_full_frontier((((0, 0, 1), ()),), chart) == NEG_INF
+    assert completion_estimate([(0, 0, 1)], chart) == NEG_INF
 
 
 def test_beam_one_still_completes(toy_model):

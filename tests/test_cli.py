@@ -342,6 +342,30 @@ def test_diagnose_dumps(trained, tmp_path, capsys):
     assert "astar-full pops=" in out
 
 
+def test_diagnose_context_is_refused_on_a_rule_mode_model(trained, tmp_path, capsys):
+    # a rule-mode context element is a (rule, child slot) pair, so labels
+    # cannot name its restaurants
+    rule_model = str(tmp_path / "rule.model")
+    assert main(
+        ["train", TRAIN, "--model", rule_model, "--context-mode", "rule", "--rare-threshold", "0"]
+    ) == 0
+    capsys.readouterr()
+    for label in ("S", "NP"):
+        out_dir = tmp_path / f"rule-{label}"
+        code, _, err = run(
+            ["diagnose", "--model", rule_model, "--context", label, "--out", str(out_dir)], capsys
+        )
+        assert code == 1
+        assert err.startswith("usage error:") and "'rule'" in err
+        assert not (out_dir / "rank_frequency_context.csv").exists()
+    out_dir = tmp_path / "nonterminal"
+    code, out, _ = run(
+        ["diagnose", "--model", trained, "--context", "S", "--out", str(out_dir)], capsys
+    )
+    assert code == 0
+    assert (out_dir / "rank_frequency_context.csv").exists()
+
+
 def test_diagnose_params_match_model(trained, tmp_path, capsys):
     code, out, _ = run(["diagnose", "--model", trained, "--out", str(tmp_path)], capsys)
     model = load_model_file(trained)

@@ -36,7 +36,7 @@ def test_exact_decode_prefers_higher_scores(toy_model):
 
     hg = build_hypergraph(toy_model.grammar, AMBIGUOUS_SENTENCE)
     candidates = list(enumerate_trees(hg))
-    best = exact_decode(toy_model, candidates, None)
+    best = exact_decode(toy_model, candidates)
     scores = [toy_model.tree_log_prob(t) for t in candidates]
     assert toy_model.tree_log_prob(best) == max(scores)
 

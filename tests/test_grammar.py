@@ -2,6 +2,7 @@ import pytest
 
 from hpyparse.errors import GrammarError
 from hpyparse.grammar import Grammar, Rule, Sym
+from hpyparse.hypergraph import build_hypergraph
 
 
 def toy_grammar() -> Grammar:
@@ -47,6 +48,25 @@ def test_rules_deduplicate_and_index_by_lhs():
     assert g.num_rules == 3
     assert g.rules_for(s) == [0]
     assert {g.rules[r].lhs for r in g.rules_for(a)} == {a}
+    g.validate()
+
+
+def test_rule_tables_see_a_rule_added_after_they_are_built():
+    g = toy_grammar()
+    s, a, b = (g.nonterminals.id(t) for t in "SAB")
+    assert build_hypergraph(g, ["y", "x"]).empty  # builds the tables
+    assert g.unary_rule_order() == []
+    swapped = g.add_rule(s, (Sym(False, b), Sym(False, a)))
+    c = g.nonterminal("C")
+    g.add_rule(c, (Sym(True, g.terminals.id("x")),))
+    unary = g.add_rule(a, (Sym(False, c),))
+    assert g.rules_for(s) == [0, swapped]
+    assert g.rules_for(a) == [1, unary]
+    assert g.lhs_position[swapped] == 1 and g.lhs_position[unary] == 1
+    assert g.unary_rule_order() == [unary]
+    hg = build_hypergraph(g, ["y", "x"])
+    assert hg.edges[hg.root] == [(swapped, 1)]
+    assert hg.edges[(a, 1, 2)] == [(1, -1), (unary, -1)]
     g.validate()
 
 

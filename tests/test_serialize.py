@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import struct
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from hpyparse.cli import main
 from hpyparse.config import RunConfig
 from hpyparse.errors import ModelFormatError
 from hpyparse.model import train_model
@@ -122,3 +124,51 @@ def test_base_draws_that_differ_from_the_top_restaurant_are_refused(toy_model):
     payload[-4:] = struct.pack("<I", 2)
     with pytest.raises(ModelFormatError, match="base draw"):
         load_model(_redigest(blob, bytes(payload)))
+
+
+def _crafted(model, change):
+    """The bytes of a copy of ``model`` altered by ``change``: a payload
+    no trained model writes, under a valid digest."""
+    crafted = copy.deepcopy(model)
+    change(crafted)
+    return save_model(crafted)
+
+
+def _foreign_top_dish(model):
+    model.trie.root.customers[model.grammar.num_rules] = 1
+    model.trie.root.total_customers += 1
+
+
+def _too_few_depth_rows(model):
+    model.trie.max_depth = model.params.depths
+
+
+def _deeper_than_max_depth(model):
+    model.trie.max_depth -= 1
+
+
+def _discount_above_one(model):
+    model.params.discount[0] = 1.5
+
+
+CRAFTED = [
+    (_foreign_top_dish, "dish"),
+    (_too_few_depth_rows, "depth rows"),
+    (_deeper_than_max_depth, "deeper"),
+    (_discount_above_one, "discount"),
+]
+CRAFTED_IDS = [change.__name__[1:] for change, _ in CRAFTED]
+
+
+@pytest.mark.parametrize("change, message", CRAFTED, ids=CRAFTED_IDS)
+def test_crafted_payloads_are_refused(toy_model, change, message):
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(_crafted(toy_model, change))
+
+
+@pytest.mark.parametrize("change", [change for change, _ in CRAFTED], ids=CRAFTED_IDS)
+def test_diagnose_on_a_crafted_model_is_a_data_error(toy_model, tmp_path, capsys, change):
+    path = tmp_path / "crafted.model"
+    path.write_bytes(_crafted(toy_model, change))
+    assert main(["diagnose", "--model", str(path), "--out", str(tmp_path / "diag")]) == 2
+    assert capsys.readouterr().err.startswith("data error:")
