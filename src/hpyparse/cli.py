@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -335,6 +335,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    if args.sentence:  # runs both the sampler and the search, whatever --decoder says
+        for decoder in ("mcmc", "astar-full"):
+            replace(config, decoder=decoder).validate()
     model = _load_decoding_model(args.model, config)
     if args.context and model.context_mode != "nonterminal":
         # a rule-mode context element is a (rule, child slot) pair, not a label

@@ -142,21 +142,16 @@ class ContextTrie:
     def insert(self, context: tuple[int, ...], dish: int) -> None:
         """Seat one customer for ``dish`` at ``context``, with proxies.
 
-        Trie nodes are created on demand along the path. A new table
-        (first customer for the dish in that restaurant) sends a proxy
-        customer one level up; at the top the proxy becomes a base draw.
+        Restaurants missing from the context's ``chain`` are created. A
+        new table (first customer for the dish in that restaurant) sends a
+        proxy customer one level up; at the top it becomes a base draw.
         """
         if not 0 <= dish < self.num_dishes:
             raise KeyError(f"dish {dish} outside vocabulary of {self.num_dishes}")
-        path = [self.root]
-        node = self.root
-        for element in reversed(context):
-            nxt = node.children.get(element)
-            if nxt is None:
-                nxt = Restaurant()
-                node.children[element] = nxt
-            node = nxt
-            path.append(node)
+        path = self.chain(context)
+        for element in reversed(context[: len(context) + 1 - len(path)]):
+            path.append(Restaurant())
+            path[-2].children[element] = path[-1]
         self.num_events += 1
         self.max_depth = max(self.max_depth, len(context))
         for restaurant in reversed(path):
@@ -167,10 +162,10 @@ class ContextTrie:
                 return  # existing table: no proxy continues upward
 
     def chain(self, context: tuple[int, ...]) -> list[Restaurant]:
-        """Stored restaurants along the path for ``context``.
-
-        Entry i is the restaurant for the context's last i elements
-        (entry 0 is the empty-context restaurant). Levels beyond the
+        """Stored restaurants along the path for ``context``: the trie's one
+        context lookup. Entry i is the restaurant for the context's last i
+        elements, so ``chain(c)[:k + 1]`` is the chain of c's last k
+        elements, and the last entry fixes the rest. Levels beyond the
         stored prefix are omitted; they hold no customers and reduce to
         identity backoff.
         """
@@ -183,18 +178,6 @@ class ContextTrie:
             out.append(node)
         return out
 
-    def stored_suffix(self, context: tuple[int, ...]) -> tuple[int, ...]:
-        """The context's last d elements, d the depth of its deepest stored
-        restaurant: ``chain(stored_suffix(c)) == chain(c)``."""
-        node = self.root
-        depth = 0
-        for element in reversed(context):
-            node = node.children.get(element)
-            if node is None:
-                break
-            depth += 1
-        return context[len(context) - depth :]
-
     def predictive_prob(
         self,
         context: tuple[int, ...],
@@ -205,16 +188,16 @@ class ContextTrie:
         """P(dish | context): ``predictive_probs`` for a single dish."""
         if not 0 <= dish < self.num_dishes:
             raise KeyError(f"dish {dish} outside vocabulary of {self.num_dishes}")
-        return float(self.predictive_probs(context, [dish], params, base)[0])
+        return float(self.predictive_probs(self.chain(context), [dish], params, base)[0])
 
     def predictive_probs(
         self,
-        context: tuple[int, ...],
+        chain: list[Restaurant],
         dishes: list[int],
         params: DepthParams,
         base: BaseDistribution,
     ) -> np.ndarray:
-        """P(dish | context) for each of ``dishes``, in one path walk.
+        """P(dish | context) for each of ``dishes``, folded over ``chain(context)``.
 
         Starting from the base probabilities, each stored level u applies
 
@@ -226,7 +209,7 @@ class ContextTrie:
         covers queries deeper than anything stored.
         """
         probs = base.probs[dishes]
-        for depth, restaurant in enumerate(self.chain(context)):
+        for depth, restaurant in enumerate(chain):
             if restaurant.is_empty():
                 continue
             discount, concentration = params.at(depth)

@@ -10,11 +10,11 @@ smoothed predictive distribution spreads mass over every rule in the
 vocabulary, so when a specific nonterminal is being expanded the mass
 is renormalized over the rules with that left-hand side.
 
-Those renormalized vectors are cached per (stored suffix, lhs): the
-context cut down to its deepest stored restaurant, which is all the
-smoothed probabilities depend on (``ContextTrie.stored_suffix``). So
-the cache holds at most one entry per stored restaurant and lhs over a
-whole decoding run, however long or novel the sentences' contexts are.
+Those renormalized vectors are cached per (restaurant, lhs): the last
+restaurant of the context's ``ContextTrie.chain`` (capped), which fixes
+the whole chain the probabilities are folded over. So the cache holds
+at most one entry per stored restaurant and lhs over a whole decoding
+run, however long or novel the sentences' contexts are.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .config import RunConfig
 from .errors import DataError
 from .events import extract_events, register_rules
 from .grammar import Grammar
-from .hpyp import BaseDistribution, ContextTrie, DepthParams
+from .hpyp import BaseDistribution, ContextTrie, DepthParams, Restaurant
 from .optimize import optimize_params
 from .pcfg import Pcfg, estimate_mle
 from .signatures import SignatureMapper, replace_rare_words
@@ -70,24 +70,24 @@ class TrainedModel:
 
     # -- probabilities ---------------------------------------------------
 
-    def _capped(self, context: tuple[int, ...]) -> tuple[int, ...]:
-        """The context's last ``context_cap`` elements (all when uncapped)."""
-        if self.context_cap is None:
-            return context
-        return context[max(len(context) - self.context_cap, 0) :]
+    def _chain(self, context: tuple[int, ...]) -> list[Restaurant]:
+        """The trie's chain for ``context``, cut to ``context_cap`` + 1 levels."""
+        chain = self.trie.chain(context)
+        return chain if self.context_cap is None else chain[: self.context_cap + 1]
 
     def predictive_prob(self, context: tuple[int, ...], rule_id: int) -> float:
         """Smoothed P(rule | context) over the whole rule vocabulary."""
-        return self.trie.predictive_prob(
-            self._capped(context), rule_id, self.params, self.base
-        )
+        if not 0 <= rule_id < self.grammar.num_rules:
+            raise KeyError(f"rule {rule_id} outside the {self.grammar.num_rules} rules")
+        chain = self._chain(context)
+        return float(self.trie.predictive_probs(chain, [rule_id], self.params, self.base)[0])
 
     def expansion_log_probs(
         self, context: tuple[int, ...], lhs: int
     ) -> tuple[list[int], np.ndarray]:
         """Rule ids with lhs ``lhs`` and their renormalized log probabilities."""
-        context = self.trie.stored_suffix(self._capped(context))
-        key = (context, lhs)
+        chain = self._chain(context)
+        key = (chain[-1], lhs)
         got = self._expansion_cache.get(key)
         if got is not None:
             return got
@@ -96,7 +96,7 @@ class TrainedModel:
             raise DataError(
                 f"nonterminal {self.grammar.nonterminals.text(lhs)!r} has no rules"
             )
-        probs = self.trie.predictive_probs(context, rule_ids, self.params, self.base)
+        probs = self.trie.predictive_probs(chain, rule_ids, self.params, self.base)
         logs = np.log(probs) - math.log(probs.sum())
         got = (rule_ids, logs)
         self._expansion_cache[key] = got

@@ -102,7 +102,11 @@ def _read_restaurant_payload(r: _Reader, node: Restaurant, num_dishes: int) -> i
     dishes, counts = r.pairs()
     if dishes and max(dishes) >= num_dishes:
         raise ModelFormatError(f"dish {max(dishes)} outside the {num_dishes} rules")
+    if 0 in counts:
+        raise ModelFormatError("restaurant lists a dish with 0 customers")
     node.customers = dict(zip(dishes, counts))
+    if len(node.customers) < len(dishes):
+        raise ModelFormatError("restaurant lists a dish id twice")
     node.total_customers = sum(counts)
     return r.unpack("I")[0]
 
@@ -121,6 +125,8 @@ def _read_trie(r: _Reader, num_dishes: int) -> ContextTrie:
             raise ModelFormatError(f"restaurant deeper than the maximum depth {max_depth}")
         stack[-1] = (parent, remaining - 1)
         (edge,) = r.unpack("I")
+        if edge in parent.children:
+            raise ModelFormatError(f"restaurant lists child edge {edge} twice")
         child = Restaurant()
         parent.children[edge] = child
         stack.append((child, _read_restaurant_payload(r, child, num_dishes)))

@@ -199,8 +199,8 @@ def test_expansion_cache_is_bounded_by_stored_restaurants(synthetic_tag):
     decode_all()
     keys = set(model._expansion_cache)
     assert keys
-    for context, _ in keys:
-        assert len(model.trie.chain(context)) == len(context) + 1
+    stored = {id(node) for _, _, node in model.trie.iter_restaurants()}
+    assert all(id(restaurant) in stored for restaurant, _ in keys)
     decode_all()
     assert set(model._expansion_cache) == keys
 
@@ -340,6 +340,19 @@ def test_diagnose_dumps(trained, tmp_path, capsys):
     assert len(rows) == 51  # header + one line per iteration
     assert "acceptance-rate" in out
     assert "astar-full pops=" in out
+
+
+def test_diagnose_sentence_checks_the_sampler_and_search_settings(trained, tmp_path, capsys):
+    # --sentence runs MH and A* whatever --decoder says, so both are checked
+    out_dir = tmp_path / "diag"
+    diagnose = ["diagnose", "--model", trained, "--out", str(out_dir),
+                "--sentence", "the dog saw the cat"]
+    for flags in (["--iters", "0", "--burn-in", "-1"], ["--beam", "0"],
+                  ["--iters", "3", "--burn-in", "-5"]):
+        code, _, err = run(diagnose + flags, capsys)
+        assert code == 1, (flags, err)
+        assert err.startswith("usage error:")
+    assert not out_dir.exists()
 
 
 def test_diagnose_context_is_refused_on_a_rule_mode_model(trained, tmp_path, capsys):

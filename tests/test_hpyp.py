@@ -171,7 +171,7 @@ def test_predictive_normalizes(seed):
         context = tuple(int(rng.integers(0, 6)) for _ in range(depth))
         total = sum(trie.predictive_prob(context, d, params, base) for d in range(dishes))
         assert total == pytest.approx(1.0, abs=1e-9)
-        grouped = trie.predictive_probs(context, list(range(dishes)), params, base)
+        grouped = trie.predictive_probs(trie.chain(context), list(range(dishes)), params, base)
         assert grouped.sum() == pytest.approx(1.0, abs=1e-9)
 
 

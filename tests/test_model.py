@@ -81,6 +81,12 @@ def test_context_cap_queries_the_context_suffix(toy_corpus, toy_model):
             )
 
 
+def test_predictive_prob_rejects_unknown_rule(toy_model):
+    for rule_id in (-1, toy_model.grammar.num_rules):
+        with pytest.raises(KeyError):
+            toy_model.predictive_prob((), rule_id)
+
+
 def test_seed_free_training_is_deterministic(toy_corpus):
     a, _ = train_model(toy_corpus, RunConfig())
     b, _ = train_model(toy_corpus, RunConfig())
@@ -128,7 +134,7 @@ def models_by_mode(toy_corpus, toy_model):
 
 @given(data=st.data())
 @settings(max_examples=200)
-def test_stored_suffix_keeps_every_float(models_by_mode, data):
+def test_capped_chain_keeps_every_float(models_by_mode, data):
     models, capped_models = models_by_mode
     mode = data.draw(st.sampled_from(sorted(models)))
     model = models[mode]
@@ -143,20 +149,21 @@ def test_stored_suffix_keeps_every_float(models_by_mode, data):
         [nt for nt in range(len(model.grammar.nonterminals)) if model.grammar.rules_for(nt)]
     ))
 
-    suffix = trie.stored_suffix(context)
-    assert context[len(context) - len(suffix) :] == suffix
-    assert len(trie.chain(suffix)) == len(suffix) + 1 == len(trie.chain(context))
+    capped = context if cap is None else context[max(len(context) - cap, 0) :]
+    chain = trie.chain(context)[: None if cap is None else cap + 1]
+    expected = trie.chain(capped)
+    assert len(chain) == len(expected)
+    assert all(ours is theirs for ours, theirs in zip(chain, expected))
     dishes = list(range(trie.num_dishes))
+    probs = trie.predictive_probs(chain, dishes, model.params, model.base)
     assert np.array_equal(
-        trie.predictive_probs(suffix, dishes, model.params, model.base),
-        trie.predictive_probs(context, dishes, model.params, model.base),
+        probs, [trie.predictive_prob(capped, d, model.params, model.base) for d in dishes]
     )
 
     capped_model = capped_models.setdefault(
         (mode, cap), dataclasses.replace(model, context_cap=cap)
     )
-    capped = context if cap is None else context[max(len(context) - cap, 0) :]
     ids, logs = capped_model.expansion_log_probs(context, lhs)
     assert ids == model.grammar.rules_for(lhs)
-    p = trie.predictive_probs(capped, ids, model.params, model.base)
+    p = probs[ids]
     assert np.array_equal(logs, np.log(p) - math.log(p.sum()))

@@ -128,10 +128,17 @@ def test_base_draws_that_differ_from_the_top_restaurant_are_refused(toy_model):
 
 def _crafted(model, change):
     """The bytes of a copy of ``model`` altered by ``change``: a payload
-    no trained model writes, under a valid digest."""
+    no trained model writes, under a valid digest. A change that
+    ``save_model`` cannot write returns (old, new) payload bytes to swap."""
     crafted = copy.deepcopy(model)
-    change(crafted)
-    return save_model(crafted)
+    swap = change(crafted)
+    blob = save_model(crafted)
+    if swap is None:
+        return blob
+    old, new = swap
+    payload = blob[len(MAGIC) + 10 : -32]
+    assert payload.count(old) == 1
+    return _redigest(blob, payload.replace(old, new))
 
 
 def _foreign_top_dish(model):
@@ -151,11 +158,46 @@ def _discount_above_one(model):
     model.params.discount[0] = 1.5
 
 
+def _zero_dish_count(model):
+    node = next(iter(model.trie.root.children.values()))
+    node.customers[min(node.customers)] = 0
+
+
+# counts no trained toy model holds, to find a spot in the payload by
+_MARKS = (900_001, 900_002)
+
+
+def _dish_listed_twice(model):
+    # a depth-1 restaurant's first two (dish, count) pairs, the second
+    # dish renamed to the first (at the top, the base draws would differ)
+    customers = next(
+        node.customers for node in model.trie.root.children.values() if len(node.customers) > 1
+    )
+    first, second = sorted(customers)[:2]
+    customers[first], customers[second] = _MARKS
+    old = struct.pack("<4I", first, _MARKS[0], second, _MARKS[1])
+    return old, struct.pack("<4I", first, _MARKS[0], first, _MARKS[1])
+
+
+def _edge_listed_twice(model):
+    # the top restaurant's second child written under the first's edge label
+    children = model.trie.root.children
+    first, second = sorted(children)[:2]
+    child = children[second]
+    dish = min(child.customers)
+    child.customers[dish] = _MARKS[0]
+    tail = struct.pack("<3I", len(child.customers), dish, _MARKS[0])
+    return struct.pack("<I", second) + tail, struct.pack("<I", first) + tail
+
+
 CRAFTED = [
     (_foreign_top_dish, "dish"),
     (_too_few_depth_rows, "depth rows"),
     (_deeper_than_max_depth, "deeper"),
     (_discount_above_one, "discount"),
+    (_zero_dish_count, "0 customers"),
+    (_dish_listed_twice, "dish id twice"),
+    (_edge_listed_twice, "edge .* twice"),
 ]
 CRAFTED_IDS = [change.__name__[1:] for change, _ in CRAFTED]
 
