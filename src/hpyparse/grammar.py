@@ -4,8 +4,8 @@ Terminals and nonterminals are interned into dense integer ids (one id
 space per kind). Rules are interned into dense rule ids. A Grammar is
 built single-writer while reading a corpus, then treated as read-only.
 The rule tables every reader looks rules up in (per lhs, by terminal,
-by left child, unary rules children first) are derived from the rule
-list once, on first use, and dropped when a rule is added.
+by left child, unary rules children first, the last three per span
+position) are derived once, on first use, and dropped by ``add_rule``.
 """
 
 from __future__ import annotations
@@ -58,6 +58,8 @@ class RuleTables(NamedTuple):
     binary: dict[tuple[bool, int], list[tuple[int, int, Sym]]]
     # (rule, lhs, child) for the unary nonterminal rules, children before parents
     unary: list[tuple[int, int, int]]
+    # (span ends before n, starts after 0) -> the last three, for such spans
+    by_position: dict[tuple[bool, bool], tuple[dict, dict, list]]
 
 
 class SymbolTable:
@@ -217,7 +219,28 @@ class Grammar:
             raise GrammarError("unary rule cycle; such grammars are not supported")
         rank = {nt: i for i, nt in enumerate(emitted)}
         unary.sort(key=lambda r: (rank[r[1]], r[0]))
-        self._tables = RuleTables(by_lhs, lhs_position, lexical, binary, unary)
+        # Fixpoints: the nonterminals that can end before n (start after 0).
+        # Every child but the last (first) of a rule can; the last (first)
+        # ends (starts) where its lhs does, so it can when its lhs can.
+        early: set[int] = set()
+        late: set[int] = set()
+        size = -1
+        while size < len(early) + len(late):
+            size = len(early) + len(late)
+            for lhs, rhs in (rule for rule in self.rules if not rule.is_lexical):
+                for free, inner, outer in ((early, rhs[:-1], rhs[-1]), (late, rhs[1:], rhs[0])):
+                    free.update(sym.id for sym in inner if not sym.terminal)
+                    if lhs in free and not outer.terminal:
+                        free.add(outer.id)
+        by_position = {}
+        for position in ((False, False), (False, True), (True, False), (True, True)):
+            ok = set(by_lhs).intersection(*(f for f, on in zip((early, late), position) if on))
+            by_position[position] = (lexical, binary, unary) if ok == set(by_lhs) else (
+                {t: kept for t, rows in lexical.items() if (kept := [r for r in rows if r[1] in ok])},
+                {c: kept for c, rows in binary.items() if (kept := [r for r in rows if r[1] in ok])},
+                [row for row in unary if row[1] in ok],
+            )
+        self._tables = RuleTables(by_lhs, lhs_position, lexical, binary, unary, by_position)
         return self._tables
 
     def unary_rule_order(self) -> list[int]:

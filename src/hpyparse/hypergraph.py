@@ -3,12 +3,13 @@ pruned parse hypergraph for one sentence.
 
 Nodes are (nonterminal, start, end) items; a hyperedge records the rule
 and split that build its head from tail items or words. ``derivations``
-lists every such edge of every derivable item bottom-up, in the order
-chart folds combine them: inside sums and maxima, Viterbi backpointers,
-sampling weights, tree counts and span-count maximization are each one
-pass over that list under a different semiring (Goodman 1999, *Semiring
-Parsing*). The hypergraph keeps exactly the items that are derivable
-bottom-up *and* reachable from the root item, so every retained node
+lists every such edge of every derivable item that the grammar's position
+fixpoint allows at its span, bottom-up, in the order chart folds combine
+them: inside sums and maxima, Viterbi backpointers, sampling weights,
+tree counts and span-count maximization are each one pass over that list
+under a different semiring (Goodman 1999, *Semiring Parsing*). As that
+filter over-approximates, the hypergraph keeps exactly the items that
+are also reachable from the root item, so every retained node
 takes part in at least one complete tree; its pruned list is the one
 enumeration a decoder makes per sentence, and every chart it reads is a
 fold over that list. Each derivation stores its edge's tail items, so
@@ -49,7 +50,8 @@ class Hypergraph:
 
 
 def derivations(grammar: Grammar, words: Sentence) -> list[Derivation]:
-    """Every edge of every item derivable over ``words``, bottom-up.
+    """Every edge of every item derivable over ``words`` at a span where
+    some complete tree could hold it (``Grammar.tables``), bottom-up.
 
     Cells come by increasing width, then start. Within a cell come the
     lexical edges in rule-id order, then the binary edges by (rule id,
@@ -60,8 +62,7 @@ def derivations(grammar: Grammar, words: Sentence) -> list[Derivation]:
     """
     # unknown words get -1, which no rule matches
     word_ids = [grammar.terminals.id(w) if w in grammar.terminals else -1 for w in words]
-    tables = grammar.tables
-    lexical, binary, unary = tables.lexical, tables.binary, tables.unary
+    by_position = grammar.tables.by_position
 
     n = len(words)
     cells: dict[tuple[int, int], set[int]] = {}  # derivable nonterminals per span
@@ -69,6 +70,7 @@ def derivations(grammar: Grammar, words: Sentence) -> list[Derivation]:
     for width in range(1, n + 1):
         for i in range(n - width + 1):
             j = i + width
+            lexical, binary, unary = by_position[j < n, i > 0]
             here: set[int] = set()
             if width == 1:
                 for rid, lhs in lexical.get(word_ids[i], ()):

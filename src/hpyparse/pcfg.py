@@ -11,7 +11,7 @@ inside chart folds its edges in the log-sum semiring and skips
 those a zero-probability rule scores ``-inf``, the sampler draws from
 the kept edges, and ``best_tree``, the max-plus fold that CYK and MBR
 decoding share, picks each item's best edge. Standalone ``inside``
-folds its own enumeration and so fills every derivable cell. Trees are
+folds its own (position-filtered) enumeration. Trees are
 read as derivations (``events.tree_edges``): MLE counts the rule ids of
 each tree's edges, and a tree's log probability sums its steps'.
 """
@@ -109,10 +109,10 @@ def inside(
     derivations of the span (the root cell is the sentence probability).
 
     The fold runs over ``derivs`` (a hypergraph's, whose nodes get the
-    full chart's scores, as an item's score depends only on its
-    descendants), by default over ``derivations(grammar, words)``. It
-    skips the edges that score ``-inf`` and keeps the rest, in order,
-    as ``chart.derivations``.
+    default chart's scores, as an item's score depends only on its
+    descendants), by default over ``derivations(grammar, words)``, which
+    leaves ``-inf`` where no complete tree can hold an item. It skips the
+    edges scoring ``-inf`` and keeps the rest in order as ``chart.derivations``.
     """
     n = len(words)
     if n == 0:

@@ -111,6 +111,17 @@ def _read_restaurant_payload(r: _Reader, node: Restaurant, num_dishes: int) -> i
     return r.unpack("I")[0]
 
 
+def _check_proxies(node: Restaurant) -> None:
+    """Refuse fewer customers of a dish than children serving it: under
+    minimal seating each such child sends the restaurant one proxy."""
+    served: dict[int, int] = {}
+    for child in node.children.values():
+        for dish in child.customers:
+            served[dish] = count = served.get(dish, 0) + 1
+            if node.customers.get(dish, 0) < count:
+                raise ModelFormatError(f"{count} children serve dish {dish}, more than their parent seats")
+
+
 def _read_trie(r: _Reader, num_dishes: int) -> ContextTrie:
     num_events, max_depth = r.unpack("QI")
     root = Restaurant()
@@ -120,6 +131,8 @@ def _read_trie(r: _Reader, num_dishes: int) -> ContextTrie:
         parent, remaining = stack[-1]
         if remaining == 0:
             stack.pop()
+            if parent.children:
+                _check_proxies(parent)
             continue
         if len(stack) > max_depth:
             raise ModelFormatError(f"restaurant deeper than the maximum depth {max_depth}")

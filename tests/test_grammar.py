@@ -67,6 +67,13 @@ def test_rule_tables_see_a_rule_added_after_they_are_built():
     hg = build_hypergraph(g, ["y", "x"])
     assert hg.edges[hg.root] == [(swapped, 1)]
     assert hg.edges[(a, 1, 2)] == [(1, -1), (unary, -1)]
+    # S has only ever spanned a whole sentence; as a left child it can
+    # end early, and the rebuilt tables must let it
+    assert build_hypergraph(g, ["y", "x", "x"]).empty
+    left_s = g.add_rule(s, (Sym(False, s), Sym(False, a)))
+    hg = build_hypergraph(g, ["y", "x", "x"])
+    assert hg.edges[hg.root] == [(left_s, 2)]
+    assert hg.edges[(s, 0, 2)] == [(swapped, 1)]
     g.validate()
 
 

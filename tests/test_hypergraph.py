@@ -1,11 +1,16 @@
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from hpyparse.errors import DataError
-from hpyparse.hypergraph import build_hypergraph, count_trees, enumerate_trees
-from hpyparse.trees import write_tree
+from hpyparse.errors import DataError, GrammarError
+from hpyparse.hypergraph import build_hypergraph, count_trees, derivations, enumerate_trees
+from hpyparse.model import build_grammar
+from hpyparse.transforms import START_TAG, binarize_right, pos_to_tree, twin_label
+from hpyparse.trees import Tree, write_tree
 
 from .oracles import enumerate_parses
-from .test_pcfg import AMBIGUOUS, fit
+from .strategies import tag_sequences, trees
+from .test_pcfg import AMBIGUOUS, fit, toy_cases
 
 
 def test_single_word_hypergraph():
@@ -81,3 +86,120 @@ def test_empty_sentence_rejected():
     grammar, _ = fit(["(S a)"])
     with pytest.raises(DataError):
         build_hypergraph(grammar, [])
+
+
+def unfiltered_derivations(grammar, words):
+    """Every edge of every derivable item, wherever it sits, in the order
+    ``derivations`` documents; each cell tries every rule of the grammar."""
+    n = len(words)
+    cells = {}
+    out = []
+
+    def matches(sym, a, b):
+        if sym.terminal:
+            return b == a + 1 and grammar.terminals.text(sym.id) == words[a]
+        return sym.id in cells[a, b]
+
+    for width in range(1, n + 1):
+        for i in range(n - width + 1):
+            j = i + width
+            here = set()
+            for rid, rule in enumerate(grammar.rules):
+                if rule.is_lexical and matches(rule.rhs[0], i, j):
+                    out.append(((rule.lhs, i, j), (rid, -1), ()))
+                    here.add(rule.lhs)
+            for rid, rule in enumerate(grammar.rules):
+                for m in range(i + 1, j) if rule.is_binary else ():
+                    spans = ((i, m), (m, j))
+                    if all(matches(sym, a, b) for sym, (a, b) in zip(rule.rhs, spans)):
+                        tails = tuple(
+                            (sym.id, a, b) for sym, (a, b) in zip(rule.rhs, spans) if not sym.terminal
+                        )
+                        out.append(((rule.lhs, i, j), (rid, m), tails))
+                        here.add(rule.lhs)
+            for rid in grammar.unary_rule_order():
+                rule = grammar.rules[rid]
+                if rule.rhs[0].id in here:
+                    out.append(((rule.lhs, i, j), (rid, -1), ((rule.rhs[0].id, i, j),)))
+                    here.add(rule.lhs)
+            cells[i, j] = here
+    return out
+
+
+def oracle_hypergraph(grammar, words):
+    """(nodes, edges, derivations) of the unfiltered enumeration, kept to
+    the items reachable top-down from the root item."""
+    everything = unfiltered_derivations(grammar, words)
+    by_head = {}
+    for derivation in everything:
+        by_head.setdefault(derivation[0], []).append(derivation)
+    root = (grammar.root, 0, len(words))
+    reachable = set()
+    todo = [root] if root in by_head else []
+    while todo:
+        item = todo.pop()
+        if item not in reachable:
+            reachable.add(item)
+            todo.extend(tail for _, _, tails in by_head[item] for tail in tails)
+    kept = [d for d in everything if d[0] in reachable]
+    edges = {item: sorted(edge for _, edge, _ in by_head[item]) for item in reachable}
+    return reachable, edges, kept
+
+
+def assert_filter_is_exact(grammar, sentences):
+    for words in sentences:
+        hg = build_hypergraph(grammar, words)
+        assert (hg.nodes, hg.edges, hg.derivations) == oracle_hypergraph(grammar, words)
+        # the filter only drops edges, and keeps the others in order
+        remaining = iter(unfiltered_derivations(grammar, words))
+        assert all(derivation in remaining for derivation in derivations(grammar, words))
+
+
+def sentences_from(yields, max_len=10):
+    """The corpus yields, each reversed, and adjacent pairs joined."""
+    pool = yields + [y[::-1] for y in yields] + [a + b for a, b in zip(yields, yields[1:])]
+    return [words for words in pool if len(words) <= max_len]
+
+
+@settings(max_examples=60)
+@given(st.lists(trees(max_depth=3, max_children=3), min_size=1, max_size=4))
+def test_position_filter_keeps_the_hypergraph_of_random_treebanks(corpus):
+    binarized = [binarize_right(Tree("ROOT", [tree])) for tree in corpus]
+    try:
+        grammar = build_grammar(binarized)
+    except GrammarError:  # a unary cycle
+        reject()
+    assert_filter_is_exact(grammar, sentences_from([tree.leaves() for tree in binarized]))
+
+
+@settings(max_examples=40)
+@given(st.lists(tag_sequences(max_len=6), min_size=1, max_size=5))
+def test_position_filter_keeps_the_hypergraph_of_random_tag_corpora(corpus):
+    grammar = build_grammar([pos_to_tree(tags, words) for tags, words in corpus])
+    assert_filter_is_exact(grammar, sentences_from([words for _, words in corpus]))
+
+
+def test_position_filter_keeps_the_hypergraph_of_the_toy_grammars():
+    for pcfg, sentences in toy_cases():
+        assert_filter_is_exact(pcfg.grammar, sentences)
+    grammar, _ = fit(AMBIGUOUS)
+    assert_filter_is_exact(grammar, [["a"] * n for n in range(1, 7)])
+
+
+def test_tag_chain_labels_never_end_early():
+    # every tag also comes before another, so each twin is a left child
+    tagged = [
+        ("DT NN VB", "the dog ran"),
+        ("NN VB DT NN", "dogs saw the cat"),
+        ("DT JJ NN VB RB DT", "a big dog sat here the"),
+    ]
+    grammar = build_grammar([pos_to_tree(t.split(), w.split()) for t, w in tagged])
+    lexical, binary, unary = grammar.tables.by_position[True, False]
+    ends_early = {row[1] for table in (lexical, binary) for rows in table.values() for row in rows}
+    ends_early |= {row[1] for row in unary}
+    tags = {tag for t, _ in tagged for tag in t.split()}
+    chain = {grammar.nonterminals.id(label) for label in tags | {START_TAG}}
+    twins = {grammar.nonterminals.id(twin_label(tag)) for tag in tags}
+    assert chain <= set(grammar.tables.by_lhs)
+    assert not chain & ends_early
+    assert twins <= ends_early

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -190,6 +191,33 @@ def _edge_listed_twice(model):
     return struct.pack("<I", second) + tail, struct.pack("<I", first) + tail
 
 
+def _dish_missing_at_parent(model):
+    # a depth-2 restaurant serving a dish its depth-1 parent does not
+    parent, child = next(
+        (node, child)
+        for node in model.trie.root.children.values()
+        for child in node.children.values()
+        if len(node.customers) < model.grammar.num_rules
+    )
+    dish = min(set(range(model.grammar.num_rules)) - set(parent.customers))
+    child.customers[dish] = 1
+    child.total_customers += 1
+
+
+def _parent_short_of_proxies(model):
+    # a restaurant with one customer of a dish that two children serve
+    parent, dish = next(
+        (node, dish)
+        for _, _, node in model.trie.iter_restaurants()
+        for dish, count in Counter(
+            d for child in node.children.values() for d in child.customers
+        ).items()
+        if count > 1
+    )
+    parent.total_customers -= parent.customers[dish] - 1
+    parent.customers[dish] = 1
+
+
 CRAFTED = [
     (_foreign_top_dish, "dish"),
     (_too_few_depth_rows, "depth rows"),
@@ -198,6 +226,8 @@ CRAFTED = [
     (_zero_dish_count, "0 customers"),
     (_dish_listed_twice, "dish id twice"),
     (_edge_listed_twice, "edge .* twice"),
+    (_dish_missing_at_parent, "children serve dish"),
+    (_parent_short_of_proxies, "children serve dish"),
 ]
 CRAFTED_IDS = [change.__name__[1:] for change, _ in CRAFTED]
 
