@@ -233,6 +233,13 @@ def _pool_decode(item: tuple[int, list[str]]) -> DecodeOutcome:
     return _decode_one(model, words, config, index)
 
 
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _write_outcomes(outcomes: Iterable[DecodeOutcome], out: TextIO) -> None:
     """Write each product line, and its stderr line, as its outcome arrives."""
     for i, outcome in enumerate(outcomes):
@@ -249,18 +256,25 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise UsageError(
             f"model was trained for task {model.task!r}, requested {args.task!r}"
         )
-    sentences = [
-        line.split() for line in _read_text(args.input).splitlines() if line.strip()
-    ]
+    sentences = []
+    for lineno, line in enumerate(_read_text(args.input).splitlines(), start=1):
+        words = line.split()
+        if model.task == "parse" and any("(" in w or ")" in w for w in words):
+            # the word would be written back as a bracketed-tree leaf
+            raise DataError(f"{args.input} line {lineno}: a word contains '(' or ')'")
+        if words:
+            sentences.append(words)
     out: TextIO = sys.stdout
     if args.output:
         with file_errors("write", args.output):
             out = open(args.output, "w", encoding="utf-8")
     try:
         items = list(enumerate(sentences))
-        if config.workers > 1:
+        # a fork pool starts all its workers at once, each loading the model
+        workers = min(config.workers, len(items), _available_cpus())
+        if workers > 1:
             with ProcessPoolExecutor(
-                max_workers=config.workers,
+                max_workers=workers,
                 initializer=_pool_init,
                 initargs=(args.model, config),
             ) as pool:

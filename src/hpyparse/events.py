@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .errors import DataError
 from .grammar import Grammar, Rule, Sym
 from .hypergraph import Edge, Node, Step
 from .trees import Tree, annotate_spans
@@ -40,28 +39,6 @@ class Event(NamedTuple):
 
 def rule_context_element(rule_id: int, child_slot: int) -> int:
     return rule_id * 2 + child_slot
-
-
-def decode_rule_context_element(element: int) -> tuple[int, int]:
-    return divmod(element, 2)[0], element % 2
-
-
-def frontier_nonterminal(grammar: Grammar, context: tuple[int, ...], mode: str) -> int:
-    """The nonterminal being expanded, read off the context's last element.
-
-    In rule mode an empty context denotes the root, whose symbol is the
-    grammar root by convention.
-    """
-    if mode == NONTERMINAL_CONTEXT:
-        return context[-1]
-    if not context:
-        assert grammar.root is not None
-        return grammar.root
-    rule_id, slot = decode_rule_context_element(context[-1])
-    sym = grammar.rules[rule_id].rhs[slot]
-    if sym.terminal:
-        raise DataError("context element descends into a terminal child")
-    return sym.id
 
 
 def node_rule(grammar: Grammar, node: Tree) -> Rule:

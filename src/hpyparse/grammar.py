@@ -3,9 +3,9 @@
 Terminals and nonterminals are interned into dense integer ids (one id
 space per kind). Rules are interned into dense rule ids. A Grammar is
 built single-writer while reading a corpus, then treated as read-only.
-The rule tables every reader looks rules up in (per lhs, by terminal,
-by left child, unary rules children first, the last three per span
-position) are derived once, on first use, and dropped by ``add_rule``.
+The rule tables every reader looks rules up in (per lhs, unary rules
+children first, and per span position by terminal, by left child and
+unary) are derived once, on first use, and dropped by ``add_rule``.
 """
 
 from __future__ import annotations
@@ -53,12 +53,10 @@ class RuleTables(NamedTuple):
 
     by_lhs: dict[int, list[int]]  # lhs -> rule ids
     lhs_position: list[int]  # rule id -> its position in its lhs's list
-    lexical: dict[int, list[tuple[int, int]]]  # terminal -> (rule, lhs)
-    # left child (terminal flag, id) -> (rule, lhs, right child)
-    binary: dict[tuple[bool, int], list[tuple[int, int, Sym]]]
     # (rule, lhs, child) for the unary nonterminal rules, children before parents
     unary: list[tuple[int, int, int]]
-    # (span ends before n, starts after 0) -> the last three, for such spans
+    # (span ends before n, starts after 0) -> for such spans: terminal ->
+    # (rule, lhs), left child Sym -> (rule, lhs, right child), unary rows
     by_position: dict[tuple[bool, bool], tuple[dict, dict, list]]
 
 
@@ -240,7 +238,7 @@ class Grammar:
                 {c: kept for c, rows in binary.items() if (kept := [r for r in rows if r[1] in ok])},
                 [row for row in unary if row[1] in ok],
             )
-        self._tables = RuleTables(by_lhs, lhs_position, lexical, binary, unary, by_position)
+        self._tables = RuleTables(by_lhs, lhs_position, unary, by_position)
         return self._tables
 
     def unary_rule_order(self) -> list[int]:

@@ -8,7 +8,9 @@ bundle is read-only and safe to share across decoding workers.
 Decoders score rule expansions with per-frontier renormalization: the
 smoothed predictive distribution spreads mass over every rule in the
 vocabulary, so when a specific nonterminal is being expanded the mass
-is renormalized over the rules with that left-hand side.
+is renormalized over the rules with that left-hand side. That vector,
+``expansion_log_probs``, is the model's one probability query; the
+unrenormalized P(rule | context) is ``trie.predictive_prob``.
 
 Those renormalized vectors are cached per (restaurant, lhs): the last
 restaurant of the context's ``ContextTrie.chain`` (capped), which fixes
@@ -29,7 +31,7 @@ from .config import RunConfig
 from .errors import DataError
 from .events import extract_events, register_rules
 from .grammar import Grammar
-from .hpyp import BaseDistribution, ContextTrie, DepthParams, Restaurant
+from .hpyp import BaseDistribution, ContextTrie, DepthParams
 from .optimize import optimize_params
 from .pcfg import Pcfg, estimate_mle
 from .signatures import SignatureMapper, replace_rare_words
@@ -70,23 +72,14 @@ class TrainedModel:
 
     # -- probabilities ---------------------------------------------------
 
-    def _chain(self, context: tuple[int, ...]) -> list[Restaurant]:
-        """The trie's chain for ``context``, cut to ``context_cap`` + 1 levels."""
-        chain = self.trie.chain(context)
-        return chain if self.context_cap is None else chain[: self.context_cap + 1]
-
-    def predictive_prob(self, context: tuple[int, ...], rule_id: int) -> float:
-        """Smoothed P(rule | context) over the whole rule vocabulary."""
-        if not 0 <= rule_id < self.grammar.num_rules:
-            raise KeyError(f"rule {rule_id} outside the {self.grammar.num_rules} rules")
-        chain = self._chain(context)
-        return float(self.trie.predictive_probs(chain, [rule_id], self.params, self.base)[0])
-
     def expansion_log_probs(
         self, context: tuple[int, ...], lhs: int
     ) -> tuple[list[int], np.ndarray]:
-        """Rule ids with lhs ``lhs`` and their renormalized log probabilities."""
-        chain = self._chain(context)
+        """Rule ids with lhs ``lhs`` and their renormalized log probabilities,
+        given the context's last ``context_cap`` elements (all if unset)."""
+        chain = self.trie.chain(context)
+        if self.context_cap is not None:
+            chain = chain[: self.context_cap + 1]
         key = (chain[-1], lhs)
         got = self._expansion_cache.get(key)
         if got is not None:
@@ -102,17 +95,14 @@ class TrainedModel:
         self._expansion_cache[key] = got
         return got
 
-    def expansion_log_prob(self, context: tuple[int, ...], rule_id: int) -> float:
-        lhs = self.grammar.rules[rule_id].lhs
-        _, logs = self.expansion_log_probs(context, lhs)
-        return float(logs[self.grammar.lhs_position[rule_id]])
-
     def events_log_prob(self, events: Iterable[tuple[tuple[int, ...], int]]) -> float:
         """Sum of the (context, rule id) events' expansion log probabilities,
         added in the order given."""
+        rules, position = self.grammar.rules, self.grammar.lhs_position
         total = 0.0
         for context, rule_id in events:
-            total += self.expansion_log_prob(context, rule_id)
+            _, logs = self.expansion_log_probs(context, rules[rule_id].lhs)
+            total += float(logs[position[rule_id]])
         return total
 
     def tree_log_prob(self, tree: Tree) -> float:

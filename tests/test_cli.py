@@ -161,6 +161,65 @@ def test_predict_with_worker_pool(trained, tmp_path, capsys):
         assert fa.read() == fb.read()
 
 
+def test_worker_pool_is_capped_by_sentences_and_cpus(trained, tmp_path, capsys, monkeypatch):
+    # A fork pool starts every worker it is given at once, so the pool size
+    # is bounded before it is made; no real pool is started here.
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers, initializer, initargs):
+            pools.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(hpyparse.cli, "ProcessPoolExecutor", FakePool)
+    base = ["predict", SENTS, "--model", trained, "--decoder", "cyk"]
+    code, serial, _ = run(base, capsys)
+    assert code == 0 and pools == []
+    for workers, cpus, started in [(5000, 3, [3]), (5000, 64, [4]), (2, 64, [2]), (5000, 1, [])]:
+        config = tmp_path / "pool.conf"
+        config.write_text(f"workers={workers}\n")
+        monkeypatch.setattr(hpyparse.cli, "_available_cpus", lambda: cpus)
+        pools.clear()
+        code, out, _ = run(base + ["--config", str(config)], capsys)
+        assert code == 0
+        assert pools == started
+        assert out == serial
+
+
+def test_parse_predict_refuses_bracket_words_before_any_output(tmp_path, capsys):
+    # Under the default rare threshold "(" maps to a signature and decodes,
+    # but a tree leaf "(" could not be read back.
+    model = str(tmp_path / "toy.model")
+    code, _, _ = run(["train", TRAIN, "--model", model], capsys)
+    assert code == 0
+    sents = tmp_path / "sents.txt"
+    sents.write_text("the dog ran\n\nthe ( ran\n")
+    code, out, err = run(["predict", str(sents), "--model", model], capsys)
+    assert code == 2 and out == ""
+    assert f"{sents} line 3" in err
+    pred = tmp_path / "pred.txt"
+    code, _, _ = run(["predict", str(sents), "--model", model, "--output", str(pred)], capsys)
+    assert code == 2 and not pred.exists()
+
+
+def test_tag_predict_keeps_bracket_words(synthetic_tag, tmp_path, capsys):
+    model, _, _ = synthetic_tag
+    sents = tmp_path / "sents.txt"
+    sents.write_text("u ( v)\n")
+    code, out, _ = run(["predict", str(sents), "--model", model, "--decoder", "cyk"], capsys)
+    assert code == 0
+    assert [token.rsplit("/", 1)[0] for token in out.split()] == ["u", "(", "v)"]
+
+
 def test_config_context_cap_reaches_every_worker(synthetic_tag, tmp_path, capsys):
     model, sents, _ = synthetic_tag
     base = ["predict", sents, "--model", model, "--decoder", "astar-full", "--beam", "64"]

@@ -10,7 +10,6 @@ from hpyparse.events import (
     NONTERMINAL_CONTEXT,
     RULE_CONTEXT,
     extract_events,
-    frontier_nonterminal,
     leftmost_walk,
     register_rules,
     tree_steps,
@@ -37,6 +36,20 @@ def grammar_for(tree) -> Grammar:
     register_rules(grammar, tree)
     grammar.set_root(grammar.nonterminal(tree.label))
     return grammar
+
+
+def frontier_nonterminal(grammar: Grammar, context: tuple[int, ...], mode: str) -> int:
+    """The nonterminal being expanded, read off the context's last element:
+    a label in nonterminal mode; in rule mode a (rule, child slot) pair
+    encoded as rule * 2 + slot, or the grammar root for an empty context."""
+    if mode == NONTERMINAL_CONTEXT:
+        return context[-1]
+    if not context:
+        return grammar.root
+    rule_id, slot = divmod(context[-1], 2)
+    sym = grammar.rules[rule_id].rhs[slot]
+    assert not sym.terminal, "context element descends into a terminal child"
+    return sym.id
 
 
 def test_depth_one_tree_single_event():

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hpyparse import mcmc
 from hpyparse.config import RunConfig
 from hpyparse.errors import DataError
 from hpyparse.events import extract_events
-from hpyparse.model import build_grammar, train_model
+from hpyparse.model import TrainedModel, build_grammar, train_model
 from hpyparse.transforms import binarize_right
 from hpyparse.trees import read_tree
+
+from .conftest import AMBIGUOUS_SENTENCE
 
 def test_train_stats_reflect_corpus(toy_corpus, toy_model_and_stats):
     model, stats = toy_model_and_stats
@@ -40,9 +43,11 @@ def test_tree_log_prob_sums_expansions(toy_model):
     tree = binarize_right(
         read_tree("(S (NP (DT the) (NN dog)) (VP (VB ran)))")
     )
+    grammar = toy_model.grammar
     total = 0.0
-    for context, rule_id in extract_events(tree, toy_model.grammar, toy_model.context_mode):
-        total += toy_model.expansion_log_prob(context, rule_id)
+    for context, rule_id in extract_events(tree, grammar, toy_model.context_mode):
+        ids, logs = toy_model.expansion_log_probs(context, grammar.rules[rule_id].lhs)
+        total += float(logs[ids.index(rule_id)])
     assert toy_model.tree_log_prob(tree) == pytest.approx(total)
     assert total < 0
 
@@ -76,15 +81,40 @@ def test_context_cap_queries_the_context_suffix(toy_corpus, toy_model):
             want_ids, want_logs = toy_model.expansion_log_probs(suffix, lhs)
             assert ids == want_ids
             assert np.array_equal(logs, want_logs)
-            assert capped_model.predictive_prob(context, rule_id) == (
-                toy_model.predictive_prob(suffix, rule_id)
-            )
 
 
-def test_predictive_prob_rejects_unknown_rule(toy_model):
-    for rule_id in (-1, toy_model.grammar.num_rules):
-        with pytest.raises(KeyError):
-            toy_model.predictive_prob((), rule_id)
+def test_one_expansion_query_per_scored_event(toy_corpus, toy_model, monkeypatch):
+    # The traced model.expansion_calls counts exactly these queries.
+    grammar = toy_model.grammar
+    queries, walks = [], []
+    real_query, real_walk = TrainedModel.expansion_log_probs, mcmc.leftmost_walk
+
+    def counted(self, context, lhs):
+        queries.append((context, lhs))
+        return real_query(self, context, lhs)
+
+    def walked(*args):
+        walks.append(real_walk(*args))
+        return walks[-1]
+
+    monkeypatch.setattr(TrainedModel, "expansion_log_probs", counted)
+    monkeypatch.setattr(mcmc, "leftmost_walk", walked)
+    tree = binarize_right(toy_corpus[-1][1])
+    events = extract_events(tree, grammar, toy_model.context_mode)
+    expected = [(context, grammar.rules[rule_id].lhs) for context, rule_id in events]
+    toy_model.events_log_prob(events)
+    assert queries == expected
+    queries.clear()
+    toy_model.tree_log_prob(tree)
+    assert queries == expected
+    queries.clear()
+    mcmc.mh_sample(toy_model, AMBIGUOUS_SENTENCE, 6, 2, np.random.default_rng(3))
+    assert len(walks) == 7  # the first state plus one proposal per iteration
+    assert queries == [
+        (context, grammar.rules[rule_id].lhs)
+        for steps in walks
+        for _, context, (rule_id, _) in steps
+    ]
 
 
 def test_seed_free_training_is_deterministic(toy_corpus):
