@@ -10,6 +10,7 @@ unary) are derived once, on first use, and dropped by ``add_rule``.
 
 from __future__ import annotations
 
+import graphlib
 from typing import Iterable, NamedTuple
 
 from .errors import GrammarError
@@ -195,27 +196,11 @@ class Grammar:
             else:
                 unary.append((rid, rule.lhs, rule.rhs[0].id))
                 children.setdefault(rule.lhs, set()).add(rule.rhs[0].id)
-        # Kahn's algorithm over lhs -> child edges; emit nodes whose
-        # children are all emitted (reverse topological).
-        indeg = {a: len(cs) for a, cs in children.items()}
-        parents: dict[int, list[int]] = {}
-        for a, cs in children.items():
-            for b in cs:
-                parents.setdefault(b, []).append(a)
-        ready = sorted(
-            set(c for cs in children.values() for c in cs) - set(children), key=int
-        )
-        emitted: list[int] = []
-        while ready:
-            b = ready.pop()
-            emitted.append(b)
-            for a in sorted(parents.get(b, []), reverse=True):
-                indeg[a] -= 1
-                if indeg[a] == 0:
-                    ready.append(a)
-        if len(emitted) < len(set(children) | set(parents)):
-            raise GrammarError("unary rule cycle; such grammars are not supported")
-        rank = {nt: i for i, nt in enumerate(emitted)}
+        try:
+            order = graphlib.TopologicalSorter(children).static_order()
+            rank = {nt: i for i, nt in enumerate(order)}
+        except graphlib.CycleError:
+            raise GrammarError("unary rule cycle; such grammars are not supported") from None
         unary.sort(key=lambda r: (rank[r[1]], r[0]))
         # Fixpoints: the nonterminals that can end before n (start after 0).
         # Every child but the last (first) of a rule can; the last (first)

@@ -3,12 +3,12 @@
 The chain proposes whole derivations, the (item, context, edge) steps of
 ``events.leftmost_walk``, from the baseline grammar via inside sampling,
 and accepts with the standard independence-proposal ratio; on rejection
-the previous state is retained. Both log probabilities are sums over the
-steps, post-burn-in states count their items' (label, span) pairs, and a
-tree is built once per distinct kept state. The decoder picks the tree
-in the hypergraph whose total span count is maximal; a given tree's
-span count is summed over the items of its derivation
-(``events.tree_steps``), as a state's counts are.
+the previous state is retained. Each distinct derivation drawn is scored
+once (both log probabilities are sums over its steps), post-burn-in
+states count their items' (label, span) pairs, and one tree is built per
+distinct kept derivation. The decoder picks the tree in the hypergraph
+whose total span count is maximal; a tree's span count is summed over the
+items of its derivation (``events.tree_steps``), as a state's are.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ import numpy as np
 
 from .errors import DataError
 from .events import leftmost_walk, tree_steps
-from .hypergraph import Hypergraph, Step, build_tree
+from .hypergraph import Edge, Hypergraph, Step, build_tree
 from .model import TrainedModel
-from .pcfg import NEG_INF, InsideChart, derivation_log_prob, inside, sampling_pick
-from .pcfg import best_tree, sentence_log_prob
+from .pcfg import InsideChart, best_tree, derivation_log_prob, inside, sampling_pick
 from .pcfg import sample_tree  # noqa: F401 - hpybench/tracing.py wraps this name
 from .trees import Sentence, Tree, write_tree
 
@@ -59,46 +58,47 @@ def mh_sample(
     """Run one chain; returns (stats, kept samples, acceptance trace).
 
     The proposal is the model's baseline grammar. The first state is a
-    direct proposal draw; each iteration then draws a fresh derivation
-    and applies the acceptance test in log space. The trace has one
-    entry per iteration; samples are the post-burn-in states' trees in
-    order (the same tree object repeats across rejected iterations).
+    direct proposal draw; each iteration then draws a fresh derivation,
+    keyed by its (rule id, split) edges, and applies the acceptance test
+    in log space. The trace has one entry per iteration; samples are the
+    post-burn-in states' trees in order, one tree per distinct kept
+    derivation.
     """
     if iters <= burn_in:
         raise DataError(f"iters ({iters}) must exceed burn_in ({burn_in})")
     pcfg = model.pcfg
     if chart is None:
         chart = inside(pcfg, words)
-    if sentence_log_prob(pcfg, chart) == NEG_INF:
-        raise DataError("sentence has no derivation; cannot start a chain")
     grammar = model.grammar
     root = (grammar.root, 0, len(words))
     pick = sampling_pick(pcfg, chart, rng)
+    weights: dict[tuple[Edge, ...], float] = {}  # log p - log q, per derivation drawn
+    trees: dict[tuple[Edge, ...], Tree] = {}  # per derivation kept
 
-    def propose() -> tuple[list[Step], float, float]:
-        # log q and log p, each summed over the steps in pre-order
+    def propose() -> tuple[list[Step], tuple[Edge, ...]]:
         steps = leftmost_walk(grammar, root, pick, model.context_mode)
-        events = ((context, rule_id) for _, context, (rule_id, _) in steps)
-        return steps, derivation_log_prob(pcfg, steps), model.events_log_prob(events)
+        key = tuple(edge for _, _, edge in steps)
+        if key not in weights:
+            events = ((context, rule_id) for _, context, (rule_id, _) in steps)
+            weights[key] = model.events_log_prob(events) - derivation_log_prob(pcfg, steps)
+        return steps, key
 
-    current, log_q_cur, log_p_cur = propose()
-    tree: Tree | None = None  # the current state's, once it is kept
+    current, key = propose()
     stats = SampleStats(iterations=iters)
     samples: list[Tree] = []
     trace: list[bool] = []
     for t in range(iters):
-        proposal, log_q_new, log_p_new = propose()
-        log_ratio = (log_p_new - log_q_new) - (log_p_cur - log_q_cur)
+        proposal, proposal_key = propose()
+        log_ratio = weights[proposal_key] - weights[key]
         accept = log_ratio >= 0 or math.log(rng.random()) < log_ratio
         if accept:
-            current, log_q_cur, log_p_cur = proposal, log_q_new, log_p_new
-            tree = None
+            current, key = proposal, proposal_key
             stats.acceptance_count += 1
         trace.append(accept)
         if t >= burn_in:
-            if tree is None:
-                tree = build_tree(grammar, words, current)
-            samples.append(tree)
+            if key not in trees:
+                trees[key] = build_tree(grammar, words, current)
+            samples.append(trees[key])
             stats.add_derivation(current)
     return stats, samples, trace
 
@@ -124,12 +124,10 @@ def mbr_decode(stats: SampleStats, hg: Hypergraph) -> Tree:
 
 
 def most_frequent_tree(samples: list[Tree]) -> tuple[Tree, int]:
-    """Diagnostic only: modal sampled tree (high variance in large spaces)."""
-    counts: Counter = Counter()
-    first: dict[str, Tree] = {}
-    for tree in samples:
-        key = write_tree(tree)
-        counts[key] += 1
-        first.setdefault(key, tree)
-    key, count = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return first[key], count
+    """Diagnostic only: modal sampled tree (high variance in large spaces).
+    A derivation's samples share one tree (``mh_sample``), so samples are
+    counted by identity; ties break on the written tree."""
+    counts = Counter(map(id, samples))
+    distinct = {id(tree): tree for tree in samples}.values()
+    tree = min(distinct, key=lambda tree: (-counts[id(tree)], write_tree(tree)))
+    return tree, counts[id(tree)]

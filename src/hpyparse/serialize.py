@@ -111,15 +111,18 @@ def _read_restaurant_payload(r: _Reader, node: Restaurant, num_dishes: int) -> i
     return r.unpack("I")[0]
 
 
-def _check_proxies(node: Restaurant) -> None:
-    """Refuse fewer customers of a dish than children serving it: under
-    minimal seating each such child sends the restaurant one proxy."""
+def _own_customers(node: Restaurant) -> int:
+    """The restaurant's customers less its children's proxies: the events
+    seated at its own context. Refuses fewer customers of a dish than
+    children serving it: under minimal seating each such child sends the
+    restaurant one proxy."""
     served: dict[int, int] = {}
     for child in node.children.values():
         for dish in child.customers:
             served[dish] = count = served.get(dish, 0) + 1
             if node.customers.get(dish, 0) < count:
                 raise ModelFormatError(f"{count} children serve dish {dish}, more than their parent seats")
+    return node.total_customers - sum(served.values())
 
 
 def _read_trie(r: _Reader, num_dishes: int) -> ContextTrie:
@@ -127,12 +130,12 @@ def _read_trie(r: _Reader, num_dishes: int) -> ContextTrie:
     root = Restaurant()
     # the restaurant at stack position k has depth k
     stack = [(root, _read_restaurant_payload(r, root, num_dishes))]
+    events = 0
     while stack:
         parent, remaining = stack[-1]
         if remaining == 0:
             stack.pop()
-            if parent.children:
-                _check_proxies(parent)
+            events += _own_customers(parent)
             continue
         if len(stack) > max_depth:
             raise ModelFormatError(f"restaurant deeper than the maximum depth {max_depth}")
@@ -143,6 +146,8 @@ def _read_trie(r: _Reader, num_dishes: int) -> ContextTrie:
         child = Restaurant()
         parent.children[edge] = child
         stack.append((child, _read_restaurant_payload(r, child, num_dishes)))
+    if events != num_events:
+        raise ModelFormatError(f"restaurants seat {events} events, not the {num_events} stored")
     trie = ContextTrie(num_dishes=num_dishes, root=root, num_events=num_events, max_depth=max_depth)
     if dict(zip(*r.pairs())) != trie.base_counts:
         raise ModelFormatError("base draw counts do not match the top restaurant")
@@ -243,6 +248,8 @@ def _read_payload(payload: bytes) -> TrainedModel:
     rows = np.array([r.unpack("6d") for _ in range(r.unpack("I")[0])])
     params = DepthParams(**{name: rows[:, k].copy() for k, name in enumerate(_DEPTH_FIELDS)})
     params.check_box()
+    if not np.all((rows[:, 2:] > 0) & np.isfinite(rows[:, 2:])):
+        raise ModelFormatError("hyperprior parameters must be positive and finite")
 
     trie = _read_trie(r, grammar.num_rules)
     if r.pos != len(payload):

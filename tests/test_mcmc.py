@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
@@ -8,6 +9,7 @@ from hpyparse.config import RunConfig
 from hpyparse.errors import DataError
 from hpyparse.events import CONTEXT_MODES, leftmost_walk
 from hpyparse.hpyp import ContextTrie
+from hpyparse import mcmc
 from hpyparse.hypergraph import build_hypergraph, build_tree
 from hpyparse.mcmc import (
     SampleStats,
@@ -210,10 +212,73 @@ def test_sampled_derivation_scores_and_counts_equal_its_trees(toy_corpus, mode):
 
 
 def test_kept_samples_repeat_exactly_on_rejection(toy_model):
+    """A rejection repeats the previous object, and two samples are the
+    same object exactly when their written trees are equal."""
     burn_in = 30
     rng = np.random.default_rng(8)
     _, samples, trace = mh_sample(toy_model, AMBIGUOUS_SENTENCE, 300, burn_in, rng)
     kept = trace[burn_in + 1 :]
     assert any(kept) and not all(kept)
     for t in range(1, len(samples)):
-        assert (samples[t] is samples[t - 1]) == (not trace[burn_in + t])
+        if not trace[burn_in + t]:
+            assert samples[t] is samples[t - 1]
+    written = {id(tree): write_tree(tree) for tree in samples}
+    assert len(set(written.values())) == len(written) == 2
+
+
+def _rescoring_chain(model, words, iters, burn_in, rng):
+    """Reference chain: every proposal is scored, and every kept
+    acceptance builds a new tree."""
+    pcfg, grammar = model.pcfg, model.grammar
+    root = (grammar.root, 0, len(words))
+    pick = sampling_pick(pcfg, inside(pcfg, words), rng)
+
+    def propose():
+        steps = leftmost_walk(grammar, root, pick, model.context_mode)
+        events = ((context, rule_id) for _, context, (rule_id, _) in steps)
+        return steps, derivation_log_prob(pcfg, steps), model.events_log_prob(events)
+
+    current, log_q_cur, log_p_cur = propose()
+    tree = None
+    stats = SampleStats(iterations=iters)
+    samples, trace = [], []
+    for t in range(iters):
+        proposal, log_q_new, log_p_new = propose()
+        log_ratio = (log_p_new - log_q_new) - (log_p_cur - log_q_cur)
+        accept = log_ratio >= 0 or math.log(rng.random()) < log_ratio
+        if accept:
+            current, log_q_cur, log_p_cur = proposal, log_q_new, log_p_new
+            tree = None
+            stats.acceptance_count += 1
+        trace.append(accept)
+        if t >= burn_in:
+            if tree is None:
+                tree = build_tree(grammar, words, current)
+            samples.append(tree)
+            stats.add_derivation(current)
+    return stats, samples, trace
+
+
+@pytest.mark.parametrize("mode", CONTEXT_MODES)
+def test_chain_matches_the_rescoring_chain(toy_corpus, monkeypatch, mode):
+    """Scoring each distinct derivation once changes no float: the chain
+    makes the same decisions, samples and span counts as one that scores
+    every proposal, and builds one tree per distinct kept derivation."""
+    model, _ = train_model(toy_corpus, RunConfig(rare_threshold=0, context_mode=mode))
+    built = []
+
+    def counted(grammar, words, steps):
+        built.append(tuple(edge for _, _, edge in steps))
+        return build_tree(grammar, words, steps)
+
+    monkeypatch.setattr(mcmc, "build_tree", counted)
+    words, iters, burn_in = AMBIGUOUS_SENTENCE, 300, 30
+    stats, samples, trace = mh_sample(model, words, iters, burn_in, np.random.default_rng(11))
+    want_stats, want_samples, want_trace = _rescoring_chain(
+        model, words, iters, burn_in, np.random.default_rng(11)
+    )
+    assert trace == want_trace
+    assert [write_tree(t) for t in samples] == [write_tree(t) for t in want_samples]
+    assert stats == want_stats
+    assert 0 < stats.acceptance_count < iters
+    assert len(built) == len(set(built)) == len({id(t) for t in samples}) == 2

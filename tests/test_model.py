@@ -110,9 +110,14 @@ def test_one_expansion_query_per_scored_event(toy_corpus, toy_model, monkeypatch
     queries.clear()
     mcmc.mh_sample(toy_model, AMBIGUOUS_SENTENCE, 6, 2, np.random.default_rng(3))
     assert len(walks) == 7  # the first state plus one proposal per iteration
+    # each distinct derivation is scored once, when it is first drawn
+    first_drawn = {}
+    for steps in walks:
+        first_drawn.setdefault(tuple(edge for _, _, edge in steps), steps)
+    assert 1 < len(first_drawn) < len(walks)
     assert queries == [
         (context, grammar.rules[rule_id].lhs)
-        for steps in walks
+        for steps in first_drawn.values()
         for _, context, (rule_id, _) in steps
     ]
 

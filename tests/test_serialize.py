@@ -220,6 +220,27 @@ def _parent_short_of_proxies(model):
     parent.customers[dish] = 1
 
 
+def _gamma_rate_zero(model):
+    model.params.gamma_rate[0] = 0.0
+
+
+def _beta_a_negative(model):
+    model.params.beta_a[0] = -1.0
+
+
+def _gamma_shape_zero(model):
+    model.params.gamma_shape[0] = 0.0
+
+
+def _leaf_count_inflated(model):
+    # the customers then exceed the stored event count by 10**8, and
+    # reading the seating statistics would allocate arrays that long
+    leaf = next(node for _, _, node in model.trie.iter_restaurants() if not node.children)
+    dish = min(leaf.customers)
+    leaf.customers[dish] += 10**8
+    leaf.total_customers += 10**8
+
+
 CRAFTED = [
     (_foreign_top_dish, "dish"),
     (_too_few_depth_rows, "depth rows"),
@@ -230,6 +251,10 @@ CRAFTED = [
     (_edge_listed_twice, "edge .* twice"),
     (_dish_missing_at_parent, "children serve dish"),
     (_parent_short_of_proxies, "children serve dish"),
+    (_gamma_rate_zero, "hyperprior"),
+    (_beta_a_negative, "hyperprior"),
+    (_gamma_shape_zero, "hyperprior"),
+    (_leaf_count_inflated, "seat .* events"),
 ]
 CRAFTED_IDS = [change.__name__[1:] for change, _ in CRAFTED]
 
