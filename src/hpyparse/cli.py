@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import os
 import sys
 import time
@@ -214,8 +215,13 @@ def _decode_one(model: TrainedModel, words: list[str], config: RunConfig, index:
 
 
 def _load_decoding_model(path: str, config: RunConfig) -> TrainedModel:
-    """Load a model to decode with, under the config's context cap if it sets one."""
+    """Load a model to decode with, under the config's context cap if it sets one.
+
+    The model is read-only while decoding, so it is frozen out of the
+    cyclic collector's scans (and a pool parent freezes it before it forks).
+    """
     model = load_model_file(path)
+    gc.freeze()
     if config.context_cap is not None:
         model.context_cap = config.context_cap
     return model
@@ -440,6 +446,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _make_parser()
+    frozen = gc.get_freeze_count()
     try:
         args = parser.parse_args(argv)
         handler = {
@@ -458,6 +465,11 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        # hand a decoding model back to the collector (unfreeze hands back
+        # all frozen objects, so a caller that froze none gets back none)
+        if gc.get_freeze_count() > frozen:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -95,9 +95,10 @@ class DepthParams:
         return float(self.discount[m]), float(self.concentration[m])
 
     def check_box(self) -> None:
-        if np.any(self.concentration < 0):
-            raise ValueError("concentration must be >= 0")
-        if np.any((self.discount < 0) | (self.discount >= 1)):
+        # written so that NaN, for which every comparison is false, fails
+        if not np.all(np.isfinite(self.concentration) & (self.concentration >= 0)):
+            raise ValueError("concentration must be finite and >= 0")
+        if not np.all((self.discount >= 0) & (self.discount < 1)):
             raise ValueError("discount must lie in [0, 1)")
 
 

@@ -1,4 +1,5 @@
 import functools
+import gc
 import os
 import sys
 
@@ -159,6 +160,44 @@ def test_predict_with_worker_pool(trained, tmp_path, capsys):
     assert code == 0
     with open(pooled) as fa, open(serial) as fb:
         assert fa.read() == fb.read()
+
+
+def _bracket_word_sentences(tmp_path):
+    path = tmp_path / "bracket.txt"
+    path.write_text("the dog ran\nthe (dog ran\n")
+    return ["predict", str(path)]
+
+
+@pytest.mark.parametrize(
+    "command, exit_code",
+    [
+        (lambda tmp_path: ["predict", SENTS, "--output", str(tmp_path / "pred.txt")], 0),
+        (_bracket_word_sentences, 2),  # refused after the model has loaded
+        (lambda tmp_path: ["diagnose", "--out", str(tmp_path / "diag"),
+                           "--sentence", "the dog saw the cat with the hat",
+                           "--iters", "20", "--burn-in", "2"], 0),
+    ],
+    ids=["predict", "predict-data-error", "diagnose-sentence"],
+)
+def test_decoding_commands_hand_the_collector_back(trained, tmp_path, capsys, command, exit_code):
+    before = gc.get_freeze_count(), gc.isenabled()
+    code, _, err = run(command(tmp_path) + ["--model", trained], capsys)
+    assert code == exit_code, err
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_the_model_is_frozen_while_sentences_decode(trained, capsys, monkeypatch):
+    seen = []
+
+    def decode(model, *args):
+        restaurants = sum(1 for _ in model.trie.iter_restaurants())
+        seen.append((gc.get_freeze_count(), restaurants))
+        return _decode_one(model, *args)
+
+    monkeypatch.setattr(hpyparse.cli, "_decode_one", decode)
+    code, _, _ = run(["predict", SENTS, "--model", trained, "--decoder", "cyk"], capsys)
+    assert code == 0 and seen
+    assert all(frozen >= restaurants > 0 for frozen, restaurants in seen)
 
 
 def test_worker_pool_is_capped_by_sentences_and_cpus(trained, tmp_path, capsys, monkeypatch):

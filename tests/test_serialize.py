@@ -161,6 +161,14 @@ def _discount_above_one(model):
     model.params.discount[0] = 1.5
 
 
+def _discount_nan(model):
+    model.params.discount[0] = np.nan
+
+
+def _concentration_infinite(model):
+    model.params.concentration[0] = np.inf
+
+
 def _zero_dish_count(model):
     node = next(iter(model.trie.root.children.values()))
     node.customers[min(node.customers)] = 0
@@ -246,6 +254,8 @@ CRAFTED = [
     (_too_few_depth_rows, "depth rows"),
     (_deeper_than_max_depth, "deeper"),
     (_discount_above_one, "discount"),
+    (_discount_nan, "discount"),
+    (_concentration_infinite, "concentration"),
     (_zero_dish_count, "0 customers"),
     (_dish_listed_twice, "dish id twice"),
     (_edge_listed_twice, "edge .* twice"),
