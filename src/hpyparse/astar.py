@@ -12,10 +12,13 @@ of 256, 4,096 and unbounded miss the same sentences of a 43-sentence
 subset: the proposal grammar's inside scores do not bound the HPYP's
 renormalized scores, so the estimate is the cause, not the beam.
 
-Both estimates sum inside log scores over a list of items
-(``completion_estimate``): the full estimate over every open frontier
-item, the local one over just the children created by the latest
-expansion.
+Both estimates sum inside log scores (``completion_estimate``): the full
+estimate over every open frontier item, the local one over just the
+children created by the latest expansion. A frontier item carries its
+restaurant and its inside score. An item's edges, with their children's
+context elements and inside scores, are tabled at its first pop, and a
+push steps each child's restaurant from its parent's (``TrainedModel.step``)
+instead of building a context tuple and walking the trie.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import DataError
-from .events import child_items, leftmost_walk, root_context
+from .events import child_elements, leftmost_walk, root_context
 from .hypergraph import Hypergraph, Node, build_tree
 from .model import TrainedModel
 from .pcfg import NEG_INF, InsideChart, cyk_viterbi
@@ -35,11 +39,10 @@ HEURISTIC_FULL = "full"
 HEURISTIC_LOCAL = "local"
 
 
-def completion_estimate(items: list[Node], chart: InsideChart) -> float:
-    """Sum of the items' inside log scores, left to right (0 if none)."""
-    total = 0.0
-    for nt, i, j in items:
-        score = chart.log_prob(nt, i, j)
+def completion_estimate(insides: Iterable[float], total: float = 0.0) -> float:
+    """``total`` plus the items' inside log scores, added left to right
+    (``-inf`` at the first ``-inf``)."""
+    for score in insides:
         if score == NEG_INF:
             return NEG_INF
         total += score
@@ -78,18 +81,22 @@ def astar_parse(
     assert hg.root is not None
 
     # A queue entry is (priority, -seq, log score, frontier, decisions).
-    # ``frontier`` holds the unexpanded items left to right, each paired
-    # with the vertical context under which its expansion will be scored;
-    # ``decisions`` records the applied edges in expansion order, which is
-    # enough to replay the derivation (leftmost expansion is deterministic).
-    # The queue is kept sorted ascending by (priority, -seq): the best entry
-    # sits at the end (FIFO among exact ties), the worst at the front where
-    # beam eviction removes it.
-    root_entry = (hg.root, root_context(hg.root[0], model.context_mode))
-    seq = itertools.count()
-    queue = [(completion_estimate([hg.root], chart), -next(seq), 0.0, (root_entry,), ())]
+    # ``frontier`` holds the unexpanded items left to right as (item,
+    # restaurant, inside score) triples; the restaurant scores the item's
+    # expansion. ``decisions`` links the applied edges as (edge, previous)
+    # pairs, which is enough to replay the derivation (leftmost expansion
+    # is deterministic). The queue is kept sorted ascending by (priority,
+    # -seq): the best entry sits at the end (FIFO among exact ties), the
+    # worst at the front where beam eviction removes it.
+    mode = model.context_mode
+    root_entry = (hg.root, model.restaurant(root_context(hg.root[0], mode)), chart.log_prob(*hg.root))
+    neg_seq = itertools.count(0, -1)
+    queue = [(completion_estimate([root_entry[2]]), next(neg_seq), 0.0, (root_entry,), ())]
     lhs_position = model.grammar.lhs_position
+    step, insort = model.step, bisect.insort
     full = heuristic == HEURISTIC_FULL
+    # per item, at its first pop: (edge, lhs position, children, their estimate)
+    tables: dict[Node, list] = {}
     pops = pushes = evictions = 0
     max_queue = 1
 
@@ -97,28 +104,38 @@ def astar_parse(
         _, _, log_score, frontier, decisions = queue.pop()
         pops += 1
         if not frontier:
-            replay = iter(decisions)
-            steps = leftmost_walk(hg.grammar, hg.root, lambda _: next(replay))
+            edges = []  # newest first, so popping replays them in order
+            while decisions:
+                edge, decisions = decisions
+                edges.append(edge)
+            steps = leftmost_walk(hg.grammar, hg.root, lambda _: edges.pop())
             tree = build_tree(hg.grammar, hg.words, steps)
             used_fallback = False
             break
-        (node, context), rest = frontier[0], frontier[1:]
-        # every edge of the item is scored under its one (context, lhs)
-        _, logs = model.expansion_log_probs(context, node[0])
-        for edge in hg.edges[node]:
-            children = child_items(hg.grammar, node, context, edge, model.context_mode)
-            new_frontier = tuple(children) + rest
-            score = log_score + float(logs[lhs_position[edge[0]]])
-            estimated = new_frontier if full else children
-            priority = score + completion_estimate([n for n, _ in estimated], chart)
+        (node, restaurant, _), rest = frontier[0], frontier[1:]
+        table = tables.get(node)
+        if table is None:
+            table = tables[node] = []
+            for edge in hg.edges[node]:
+                kids = [(c, e, chart.log_prob(*c)) for c, e in child_elements(hg.grammar, node, edge, mode)]
+                table.append((edge, lhs_position[edge[0]], kids, completion_estimate([k[2] for k in kids])))
+        # every edge of the item is scored under its one (restaurant, lhs)
+        _, logs = model.expansion_log_probs(restaurant, node[0])
+        rest_insides = [inside for _, _, inside in rest] if full else ()
+        for edge, position, kids, estimate in table:
+            score = log_score + float(logs[position])
+            # the full estimate goes on from the children's over the rest
+            priority = score + completion_estimate(rest_insides, estimate)
             if priority == NEG_INF:
                 continue
-            bisect.insort(queue, (priority, -next(seq), score, new_frontier, decisions + (edge,)))
+            children = tuple([(child, step(restaurant, element), inside) for child, element, inside in kids])
+            insort(queue, (priority, next(neg_seq), score, children + rest, (edge, decisions)))
             pushes += 1
             if beam is not None and len(queue) > beam:
                 del queue[0]
                 evictions += 1
-            max_queue = max(max_queue, len(queue))
+            if len(queue) > max_queue:
+                max_queue = len(queue)
     else:  # the queue starved
         tree = cyk_viterbi(model.pcfg, hg.words)
         if tree is None:

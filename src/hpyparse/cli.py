@@ -174,7 +174,9 @@ def _decode_one(model: TrainedModel, words: list[str], config: RunConfig, index:
     tree: Tree | None = None
     note = ""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(index,)))
-    if config.decoder == "cyk":
+    if config.max_len is not None and len(words) > config.max_len:
+        note = f"over max-len {config.max_len}"
+    elif config.decoder == "cyk":
         tree = cyk_viterbi(model.pcfg, mapped)
     else:
         hg = build_hypergraph(model.grammar, mapped)
@@ -228,7 +230,9 @@ def _load_decoding_model(path: str, config: RunConfig) -> TrainedModel:
 
 
 def _pool_init(model_path: str, config: RunConfig) -> None:
-    _WORKER_STATE["model"] = _load_decoding_model(model_path, config)
+    # a forked worker inherits the parent's loaded model; others load it
+    if "model" not in _WORKER_STATE:
+        _WORKER_STATE["model"] = _load_decoding_model(model_path, config)
     _WORKER_STATE["config"] = config
 
 
@@ -276,9 +280,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
             out = open(args.output, "w", encoding="utf-8")
     try:
         items = list(enumerate(sentences))
-        # a fork pool starts all its workers at once, each loading the model
+        # a pool starts all its workers at once (each loads the model unless forked)
         workers = min(config.workers, len(items), _available_cpus())
         if workers > 1:
+            _WORKER_STATE["model"] = model  # set before the pool forks
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_pool_init,
@@ -289,6 +294,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         else:
             _write_outcomes((_decode_one(model, words, config, i) for i, words in items), out)
     finally:
+        _WORKER_STATE.clear()
         if out is not sys.stdout:
             out.close()
     return 0

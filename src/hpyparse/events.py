@@ -10,13 +10,14 @@ context alphabets are supported:
     child slot that was descended into, so the frontier symbol is still
     recoverable from the final element.
 
-``root_context`` and ``child_items`` state that rule once. A* applies it
-one expansion at a time; ``leftmost_walk`` applies it along a whole
-derivation, as (item, context, edge) steps, asking a callback for each
-item's edge. A tree is a derivation too: ``tree_edges`` reads its
-(rule, split) edges off its spans, ``tree_steps`` replays them through
-the walk, and the tree's events (``extract_events``) are its steps'
-(context, rule) pairs.
+``root_context`` and ``child_elements`` state that rule once. A* folds
+a child's element onto its parent's restaurant (``TrainedModel.step``),
+one expansion at a time; ``leftmost_walk`` folds it onto the parent's
+context tuple along a whole derivation, as (item, context, edge) steps,
+asking a callback for each item's edge. A tree is a derivation too:
+``tree_edges`` reads its (rule, split) edges off its spans,
+``tree_steps`` replays them through the walk, and the tree's events
+(``extract_events``) are its steps' (context, rule) pairs.
 """
 
 from __future__ import annotations
@@ -64,22 +65,19 @@ def root_context(root: int, mode: str) -> tuple[int, ...]:
     return (root,) if mode == NONTERMINAL_CONTEXT else ()
 
 
-def child_items(
-    grammar: Grammar, item: Node, context: tuple[int, ...], edge: Edge, mode: str
-) -> list[tuple[Node, tuple[int, ...]]]:
+def child_elements(grammar: Grammar, item: Node, edge: Edge, mode: str) -> list[tuple[Node, int]]:
     """The nonterminal child items of an expansion, left to right, each
-    with the context its own expansion is scored under: ``context`` plus
-    the child's label (nonterminal mode) or the rule fused with the
-    child's slot (rule mode)."""
+    with the element its context adds to its parent's: the child's label
+    (nonterminal mode) or the rule fused with the child's slot (rule mode)."""
     rule_id, split = edge
     rhs = grammar.rules[rule_id].rhs
     _, i, j = item
     spans = ((i, j),) if len(rhs) == 1 else ((i, split), (split, j))
-    out: list[tuple[Node, tuple[int, ...]]] = []
+    out: list[tuple[Node, int]] = []
     for slot, (sym, (a, b)) in enumerate(zip(rhs, spans)):
         if not sym.terminal:
             element = sym.id if mode == NONTERMINAL_CONTEXT else rule_context_element(rule_id, slot)
-            out.append(((sym.id, a, b), context + (element,)))
+            out.append(((sym.id, a, b), element))
     return out
 
 
@@ -99,7 +97,8 @@ def leftmost_walk(
         item, context = stack.pop()
         edge = pick(item)
         steps.append((item, context, edge))
-        stack.extend(reversed(child_items(grammar, item, context, edge, mode)))
+        for child, element in reversed(child_elements(grammar, item, edge, mode)):
+            stack.append((child, context + (element,)))
     return steps
 
 

@@ -12,11 +12,15 @@ is renormalized over the rules with that left-hand side. That vector,
 ``expansion_log_probs``, is the model's one probability query; the
 unrenormalized P(rule | context) is ``trie.predictive_prob``.
 
-Those renormalized vectors are cached per (restaurant, lhs): the last
-restaurant of the context's ``ContextTrie.chain`` (capped), which fixes
-the whole chain the probabilities are folded over. So the cache holds
-at most one entry per stored restaurant and lhs over a whole decoding
-run, however long or novel the sentences' contexts are.
+A decoding context is a stored restaurant: ``restaurant`` maps a context
+tuple to the last restaurant of its ``ContextTrie.chain`` capped at
+``context_cap`` + 1 entries, which fixes the chain the probabilities are
+folded over. Every stored restaurant's context without its newest
+element is stored too (the reader refuses a trie where it is not), so a
+child's restaurant is one memoized ``step`` from its parent's, the
+trie's analogue of a sequence memoizer's suffix links. The vectors are
+cached per (restaurant, lhs). Every memo is keyed on stored restaurants,
+so it stays bounded over a whole decoding run.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .config import RunConfig
 from .errors import DataError
 from .events import extract_events, register_rules
 from .grammar import Grammar
-from .hpyp import BaseDistribution, ContextTrie, DepthParams
+from .hpyp import BaseDistribution, ContextTrie, DepthParams, Restaurant
 from .optimize import optimize_params
 from .pcfg import Pcfg, estimate_mle
 from .signatures import SignatureMapper, replace_rare_words
@@ -69,18 +73,34 @@ class TrainedModel:
 
     def __post_init__(self) -> None:
         self._expansion_cache: dict = {}
+        self._paths: dict = {}  # restaurant -> (its chain, its context)
+        self._steps: dict = {}  # (restaurant, element, cap) -> restaurant
 
     # -- probabilities ---------------------------------------------------
 
-    def expansion_log_probs(
-        self, context: tuple[int, ...], lhs: int
-    ) -> tuple[list[int], np.ndarray]:
-        """Rule ids with lhs ``lhs`` and their renormalized log probabilities,
-        given the context's last ``context_cap`` elements (all if unset)."""
-        chain = self.trie.chain(context)
-        if self.context_cap is not None:
-            chain = chain[: self.context_cap + 1]
-        key = (chain[-1], lhs)
+    def restaurant(self, context: tuple[int, ...]) -> Restaurant:
+        """The stored restaurant that scores expansions under ``context``:
+        the last of its chain's first ``context_cap`` + 1 entries."""
+        chain = self.trie.chain(context)[: None if self.context_cap is None else self.context_cap + 1]
+        found = chain[-1]
+        if found not in self._paths:
+            self._paths[found] = (chain, context[len(context) + 1 - len(chain) :])
+        return found
+
+    def step(self, restaurant: Restaurant, element: int) -> Restaurant:
+        """``restaurant(c + (element,))`` for every context c that maps to
+        ``restaurant``, memoized. Exact because every stored restaurant's
+        context without its newest element is stored too."""
+        key = (restaurant, element, self.context_cap)  # the cap may be set by attribute
+        got = self._steps.get(key)
+        if got is None:
+            got = self._steps[key] = self.restaurant(self._paths[restaurant][1] + (element,))
+        return got
+
+    def expansion_log_probs(self, restaurant: Restaurant, lhs: int) -> tuple[list[int], np.ndarray]:
+        """Rule ids with lhs ``lhs`` and their renormalized log probabilities
+        under a restaurant given by ``restaurant`` or ``step``."""
+        key = (restaurant, lhs)
         got = self._expansion_cache.get(key)
         if got is not None:
             return got
@@ -89,10 +109,9 @@ class TrainedModel:
             raise DataError(
                 f"nonterminal {self.grammar.nonterminals.text(lhs)!r} has no rules"
             )
-        probs = self.trie.predictive_probs(chain, rule_ids, self.params, self.base)
+        probs = self.trie.predictive_probs(self._paths[restaurant][0], rule_ids, self.params, self.base)
         logs = np.log(probs) - math.log(probs.sum())
-        got = (rule_ids, logs)
-        self._expansion_cache[key] = got
+        got = self._expansion_cache[key] = (rule_ids, logs)
         return got
 
     def events_log_prob(self, events: Iterable[tuple[tuple[int, ...], int]]) -> float:
@@ -101,7 +120,7 @@ class TrainedModel:
         rules, position = self.grammar.rules, self.grammar.lhs_position
         total = 0.0
         for context, rule_id in events:
-            _, logs = self.expansion_log_probs(context, rules[rule_id].lhs)
+            _, logs = self.expansion_log_probs(self.restaurant(context), rules[rule_id].lhs)
             total += float(logs[position[rule_id]])
         return total
 

@@ -125,6 +125,20 @@ def _own_customers(node: Restaurant) -> int:
     return node.total_customers - sum(served.values())
 
 
+def _check_suffix_links(root: Restaurant) -> None:
+    """Refuses a restaurant whose context without its newest element has
+    none (``TrainedModel.step`` relies on it). That restaurant of a child
+    is the child, under the same edge, of its parent's one."""
+    stack = [(node, root) for node in root.children.values()]
+    while stack:
+        node, shorter = stack.pop()
+        for edge, child in node.children.items():
+            link = shorter.children.get(edge)
+            if link is None:
+                raise ModelFormatError(f"edge {edge} leads to a restaurant whose context without its newest element has none")
+            stack.append((child, link))
+
+
 def _read_trie(r: _Reader, num_dishes: int) -> ContextTrie:
     num_events, max_depth = r.unpack("QI")
     root = Restaurant()
@@ -148,6 +162,7 @@ def _read_trie(r: _Reader, num_dishes: int) -> ContextTrie:
         stack.append((child, _read_restaurant_payload(r, child, num_dishes)))
     if events != num_events:
         raise ModelFormatError(f"restaurants seat {events} events, not the {num_events} stored")
+    _check_suffix_links(root)
     trie = ContextTrie(num_dishes=num_dishes, root=root, num_events=num_events, max_depth=max_depth)
     if dict(zip(*r.pairs())) != trie.base_counts:
         raise ModelFormatError("base draw counts do not match the top restaurant")

@@ -1,5 +1,6 @@
 import functools
 import gc
+import multiprocessing
 import os
 import sys
 
@@ -294,13 +295,19 @@ def test_expansion_cache_is_bounded_by_stored_restaurants(synthetic_tag):
             for i, words in enumerate(sentences):
                 assert _decode_one(model, words, config, i).parsed
 
+    def memo_keys():
+        return [set(model._expansion_cache), set(model._paths), set(model._steps)]
+
     decode_all()
-    keys = set(model._expansion_cache)
-    assert keys
+    keys = memo_keys()
+    assert all(keys)
     stored = {id(node) for _, _, node in model.trie.iter_restaurants()}
-    assert all(id(restaurant) in stored for restaurant, _ in keys)
+    cached, paths, steps = keys
+    assert all(id(key[0]) in stored for key in cached | steps)
+    assert all(id(restaurant) in stored for restaurant in paths)
+    assert all(id(model._steps[key]) in stored for key in steps)
     decode_all()
-    assert set(model._expansion_cache) == keys
+    assert memo_keys() == keys
 
 
 def test_predict_writes_each_line_as_its_sentence_is_decoded(
@@ -637,3 +644,89 @@ def test_unreadable_or_unwritable_files_are_data_errors(trained, tmp_path, capsy
     code, _, err = run([arg.format(**paths) for arg in args], capsys)
     assert code == 2, err
     assert err.startswith("data error:")
+
+
+def _logged(fn, path, record):
+    """``fn``, appending ``record(args)`` and the process id to ``path`` on
+    each call; forked pool workers inherit it and append to the same file."""
+
+    def wrapper(*args, **kwargs):
+        with open(path, "a") as fh:
+            fh.write(f"{record(args)} {os.getpid()}\n")
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_pool_workers_decode_with_the_parents_model(trained, tmp_path, capsys, monkeypatch):
+    # Under fork the workers inherit the model the parent loaded; a worker
+    # started another way loads its own.
+    loads = tmp_path / "loads.txt"
+    monkeypatch.setattr(
+        hpyparse.cli, "load_model_file", _logged(load_model_file, loads, lambda args: "load")
+    )
+    monkeypatch.setattr(hpyparse.cli, "_available_cpus", lambda: 2)
+    base = ["predict", SENTS, "--model", trained, "--decoder", "astar-local", "--beam", "16"]
+    outputs = {}
+    for workers in (1, 2):
+        config = tmp_path / f"workers{workers}.conf"
+        config.write_text(f"workers={workers}\n")
+        out = tmp_path / f"workers{workers}.txt"
+        loads.write_text("")
+        code, _, _ = run(base + ["--config", str(config), "--output", str(out)], capsys)
+        assert code == 0
+        outputs[workers] = out.read_bytes()
+        pids = [line.split()[1] for line in loads.read_text().splitlines()]
+        forked = multiprocessing.get_start_method() == "fork"
+        assert len(pids) == (1 if workers == 1 or forked else 1 + workers)
+    assert outputs[1] == outputs[2]
+    assert hpyparse.cli._WORKER_STATE == {}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_predict_gives_sentences_over_max_len_no_parse(trained, tmp_path, capsys, monkeypatch, workers):
+    built = tmp_path / "built.txt"
+    monkeypatch.setattr(
+        hpyparse.cli,
+        "build_hypergraph",
+        _logged(hpyparse.cli.build_hypergraph, built, lambda args: len(args[1])),
+    )
+    monkeypatch.setattr(hpyparse.cli, "_available_cpus", lambda: 2)
+    config = tmp_path / "workers.conf"
+    config.write_text(f"workers={workers}\n")
+    base = ["predict", SENTS, "--model", trained, "--decoder", "astar-full", "--config", str(config)]
+    code, unbounded, _ = run(base, capsys)
+    assert code == 0
+    built.write_text("")
+    code, out, err = run(base + ["--max-len", "3"], capsys)
+    assert code == 0
+    with open(SENTS) as fh:
+        lengths = [len(line.split()) for line in fh if line.strip()]
+    assert 3 in lengths and max(lengths) > 3
+    err_lines = [line for line in err.splitlines() if line.startswith("[")]
+    for n, line, want, note in zip(lengths, out.splitlines(), unbounded.splitlines(), err_lines):
+        if n > 3:
+            assert line == "(())"
+            assert note.endswith("over max-len 3 NO-PARSE")
+        else:
+            assert line == want and "NO-PARSE" not in note
+    assert all(int(line.split()[0]) <= 3 for line in built.read_text().splitlines())
+
+
+def test_tag_predict_gives_sentences_over_max_len_unk_tags(tmp_path, capsys):
+    model = str(tmp_path / "tag.model")
+    code, _, _ = run(["train", TAG_TRAIN, "--model", model, "--task", "tag"], capsys)
+    assert code == 0
+    code, out, err = run(["predict", TAG_SENTS, "--model", model, "--max-len", "3"], capsys)
+    assert code == 0
+    code, unbounded, _ = run(["predict", TAG_SENTS, "--model", model], capsys)
+    assert code == 0
+    with open(TAG_SENTS) as fh:
+        sentences = [line.split() for line in fh if line.strip()]
+    over = [len(words) > 3 for words in sentences]
+    assert any(over) and not all(over)
+    assert out.splitlines() == [
+        write_tagged(words, ["UNK"] * len(words)) if long else line
+        for words, long, line in zip(sentences, over, unbounded.splitlines())
+    ]
+    assert err.count("over max-len 3 NO-PARSE") == sum(over)

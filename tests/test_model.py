@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hpyparse import mcmc
 from hpyparse.config import RunConfig
 from hpyparse.errors import DataError
-from hpyparse.events import extract_events
+from hpyparse.events import extract_events, root_context
 from hpyparse.model import TrainedModel, build_grammar, train_model
 from hpyparse.transforms import binarize_right
 from hpyparse.trees import read_tree
@@ -35,7 +35,7 @@ def test_expansion_probs_renormalize_per_lhs(toy_model):
     for label in ("S", "NP", "VP", "NN"):
         lhs = grammar.nonterminals.id(label)
         for context in [(lhs,), (grammar.root, lhs)]:
-            _, logs = toy_model.expansion_log_probs(context, lhs)
+            _, logs = toy_model.expansion_log_probs(toy_model.restaurant(context), lhs)
             assert np.exp(logs).sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -46,7 +46,9 @@ def test_tree_log_prob_sums_expansions(toy_model):
     grammar = toy_model.grammar
     total = 0.0
     for context, rule_id in extract_events(tree, grammar, toy_model.context_mode):
-        ids, logs = toy_model.expansion_log_probs(context, grammar.rules[rule_id].lhs)
+        ids, logs = toy_model.expansion_log_probs(
+            toy_model.restaurant(context), grammar.rules[rule_id].lhs
+        )
         total += float(logs[ids.index(rule_id)])
     assert toy_model.tree_log_prob(tree) == pytest.approx(total)
     assert total < 0
@@ -77,8 +79,8 @@ def test_context_cap_queries_the_context_suffix(toy_corpus, toy_model):
         for context, rule_id in events:
             suffix = context[len(context) - cap :] if cap else ()
             lhs = toy_model.grammar.rules[rule_id].lhs
-            ids, logs = capped_model.expansion_log_probs(context, lhs)
-            want_ids, want_logs = toy_model.expansion_log_probs(suffix, lhs)
+            ids, logs = capped_model.expansion_log_probs(capped_model.restaurant(context), lhs)
+            want_ids, want_logs = toy_model.expansion_log_probs(toy_model.restaurant(suffix), lhs)
             assert ids == want_ids
             assert np.array_equal(logs, want_logs)
 
@@ -89,9 +91,9 @@ def test_one_expansion_query_per_scored_event(toy_corpus, toy_model, monkeypatch
     queries, walks = [], []
     real_query, real_walk = TrainedModel.expansion_log_probs, mcmc.leftmost_walk
 
-    def counted(self, context, lhs):
-        queries.append((context, lhs))
-        return real_query(self, context, lhs)
+    def counted(self, restaurant, lhs):
+        queries.append((restaurant, lhs))
+        return real_query(self, restaurant, lhs)
 
     def walked(*args):
         walks.append(real_walk(*args))
@@ -101,7 +103,7 @@ def test_one_expansion_query_per_scored_event(toy_corpus, toy_model, monkeypatch
     monkeypatch.setattr(mcmc, "leftmost_walk", walked)
     tree = binarize_right(toy_corpus[-1][1])
     events = extract_events(tree, grammar, toy_model.context_mode)
-    expected = [(context, grammar.rules[rule_id].lhs) for context, rule_id in events]
+    expected = [(toy_model.restaurant(context), grammar.rules[rule_id].lhs) for context, rule_id in events]
     toy_model.events_log_prob(events)
     assert queries == expected
     queries.clear()
@@ -116,7 +118,7 @@ def test_one_expansion_query_per_scored_event(toy_corpus, toy_model, monkeypatch
         first_drawn.setdefault(tuple(edge for _, _, edge in steps), steps)
     assert 1 < len(first_drawn) < len(walks)
     assert queries == [
-        (context, grammar.rules[rule_id].lhs)
+        (toy_model.restaurant(context), grammar.rules[rule_id].lhs)
         for steps in first_drawn.values()
         for _, context, (rule_id, _) in steps
     ]
@@ -155,7 +157,7 @@ def test_rule_context_mode_trains(toy_corpus):
     model, stats = train_model(toy_corpus, RunConfig(context_mode="rule"))
     assert stats.num_events > 0
     lhs = model.grammar.root
-    _, logs = model.expansion_log_probs((), lhs)
+    _, logs = model.expansion_log_probs(model.restaurant(()), lhs)
     assert np.exp(logs).sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -198,7 +200,48 @@ def test_capped_chain_keeps_every_float(models_by_mode, data):
     capped_model = capped_models.setdefault(
         (mode, cap), dataclasses.replace(model, context_cap=cap)
     )
-    ids, logs = capped_model.expansion_log_probs(context, lhs)
+    ids, logs = capped_model.expansion_log_probs(capped_model.restaurant(context), lhs)
     assert ids == model.grammar.rules_for(lhs)
     p = probs[ids]
     assert np.array_equal(logs, np.log(p) - math.log(p.sum()))
+
+
+@given(data=st.data())
+@settings(max_examples=200)
+def test_stepping_from_the_root_context_gives_the_mapped_restaurant(models_by_mode, data):
+    # Folding ``step`` over a context's elements, from the empty context,
+    # reaches the restaurant the context maps to; the models keep their
+    # memos across examples, so later examples fold through memo hits.
+    models, capped_models = models_by_mode
+    mode = data.draw(st.sampled_from(sorted(models)))
+    model = models[mode]
+    trie = model.trie
+    paths = sorted(key for _, key, _ in trie.iter_restaurants())
+    seen = sorted({element for key in paths for element in key})
+    never_seen = st.integers(seen[-1] + 1, seen[-1] + 4)
+    prefix = data.draw(st.lists(st.sampled_from(seen) | never_seen, max_size=trie.max_depth + 3))
+    context = tuple(prefix) + data.draw(st.sampled_from(paths))[::-1]
+    cap = data.draw(st.none() | st.integers(0, trie.max_depth + 2))
+    capped_model = capped_models.setdefault(
+        (mode, cap), dataclasses.replace(model, context_cap=cap)
+    )
+    restaurant = capped_model.restaurant(())
+    for k, element in enumerate(context):
+        restaurant = capped_model.step(restaurant, element)
+        assert restaurant is capped_model.restaurant(context[: k + 1])
+    assert restaurant is trie.chain(context)[: None if cap is None else cap + 1][-1]
+
+
+def test_every_event_context_folds_to_its_restaurant(toy_corpus, models_by_mode):
+    # the same over every training event, from each mode's root context
+    models, _ = models_by_mode
+    for mode, model in models.items():
+        root = root_context(model.grammar.root, mode)
+        for cap in (None, 0, 1, 2):
+            capped = dataclasses.replace(model, context_cap=cap)
+            for _, tree in toy_corpus:
+                for context, _ in extract_events(binarize_right(tree), model.grammar, mode):
+                    restaurant = capped.restaurant(root)
+                    for element in context[len(root) :]:
+                        restaurant = capped.step(restaurant, element)
+                    assert restaurant is capped.restaurant(context)

@@ -228,6 +228,18 @@ def _parent_short_of_proxies(model):
     parent.customers[dish] = 1
 
 
+def _suffix_link_missing(model):
+    # a depth-2 leaf moved under an edge label no depth-1 context ends in,
+    # so its context without its newest element has no restaurant
+    parent, edge = next(
+        (node, edge)
+        for node in model.trie.root.children.values()
+        for edge, child in node.children.items()
+        if not child.children
+    )
+    parent.children[_MARKS[0]] = parent.children.pop(edge)
+
+
 def _gamma_rate_zero(model):
     model.params.gamma_rate[0] = 0.0
 
@@ -261,6 +273,7 @@ CRAFTED = [
     (_edge_listed_twice, "edge .* twice"),
     (_dish_missing_at_parent, "children serve dish"),
     (_parent_short_of_proxies, "children serve dish"),
+    (_suffix_link_missing, "without its newest element"),
     (_gamma_rate_zero, "hyperprior"),
     (_beta_a_negative, "hyperprior"),
     (_gamma_shape_zero, "hyperprior"),
