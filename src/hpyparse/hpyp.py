@@ -197,6 +197,7 @@ class ContextTrie:
         dishes: list[int],
         params: DepthParams,
         base: BaseDistribution,
+        memo: dict[Restaurant, np.ndarray] | None = None,
     ) -> np.ndarray:
         """P(dish | context) for each of ``dishes``, folded over ``chain(context)``.
 
@@ -208,9 +209,16 @@ class ContextTrie:
         dish (else 0) and t the number of present dishes. Empty
         restaurants pass the parent value through unchanged, which also
         covers queries deeper than anything stored.
+
+        ``memo``, if given, maps restaurants to their vectors for these same
+        ``dishes``: the fold starts after the deepest chain entry in it and
+        memoizes each stored level it applies. Entry k of every chain is the
+        restaurant at depth k, so the floats are those of the whole fold.
         """
-        probs = base.probs[dishes]
-        for depth, restaurant in enumerate(chain):
+        memo = {} if memo is None else memo
+        start = next((k for k in range(len(chain), 0, -1) if chain[k - 1] in memo), 0)
+        probs = memo[chain[start - 1]] if start else base.probs[dishes]
+        for depth, restaurant in enumerate(chain[start:], start):
             if restaurant.is_empty():
                 continue
             discount, concentration = params.at(depth)
@@ -220,7 +228,7 @@ class ContextTrie:
             own = np.array(
                 [customers[d] - discount if d in customers else 0.0 for d in dishes]
             )
-            probs = own / denom + weight * probs
+            probs = memo[restaurant] = own / denom + weight * probs
         return probs
 
     # -- traversal helpers -------------------------------------------------

@@ -19,8 +19,9 @@ folded over. Every stored restaurant's context without its newest
 element is stored too (the reader refuses a trie where it is not), so a
 child's restaurant is one memoized ``step`` from its parent's, the
 trie's analogue of a sequence memoizer's suffix links. The vectors are
-cached per (restaurant, lhs). Every memo is keyed on stored restaurants,
-so it stays bounded over a whole decoding run.
+cached per (restaurant, lhs); a miss folds on from its parent's memoized
+unrenormalized vector (or the deepest memoized one in its chain). Every
+memo is keyed on stored restaurants, so it stays bounded over a run.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ class TrainedModel:
         self._expansion_cache: dict = {}
         self._paths: dict = {}  # restaurant -> (its chain, its context)
         self._steps: dict = {}  # (restaurant, element, cap) -> restaurant
+        self._folds: dict = {}  # lhs -> {restaurant: unrenormalized vector}
 
     # -- probabilities ---------------------------------------------------
 
@@ -109,7 +111,9 @@ class TrainedModel:
             raise DataError(
                 f"nonterminal {self.grammar.nonterminals.text(lhs)!r} has no rules"
             )
-        probs = self.trie.predictive_probs(self._paths[restaurant][0], rule_ids, self.params, self.base)
+        probs = self.trie.predictive_probs(
+            self._paths[restaurant][0], rule_ids, self.params, self.base, self._folds.setdefault(lhs, {})
+        )
         logs = np.log(probs) - math.log(probs.sum())
         got = self._expansion_cache[key] = (rule_ids, logs)
         return got

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import multiprocessing
@@ -12,6 +13,7 @@ import hpyparse.model
 from hpyparse.cli import _decode_one, main
 from hpyparse.config import RunConfig
 from hpyparse.errors import DataError
+from hpyparse.hpyp import ContextTrie
 from hpyparse.pcfg import cyk_viterbi
 from hpyparse.serialize import load_model_file
 from hpyparse.synthetic import TagChainSpec, generate_tag_corpus
@@ -296,18 +298,40 @@ def test_expansion_cache_is_bounded_by_stored_restaurants(synthetic_tag):
                 assert _decode_one(model, words, config, i).parsed
 
     def memo_keys():
-        return [set(model._expansion_cache), set(model._paths), set(model._steps)]
+        folds = {(lhs, restaurant) for lhs, memo in model._folds.items() for restaurant in memo}
+        return [set(model._expansion_cache), set(model._paths), set(model._steps), folds]
 
     decode_all()
     keys = memo_keys()
     assert all(keys)
     stored = {id(node) for _, _, node in model.trie.iter_restaurants()}
-    cached, paths, steps = keys
+    cached, paths, steps, folds = keys
     assert all(id(key[0]) in stored for key in cached | steps)
+    assert all(id(restaurant) in stored for _, restaurant in folds)
     assert all(id(restaurant) in stored for restaurant in paths)
     assert all(id(model._steps[key]) in stored for key in steps)
     decode_all()
     assert memo_keys() == keys
+
+
+def test_each_expansion_cache_miss_is_one_trie_fold(toy_corpus, toy_model, monkeypatch):
+    # the benchmark counts ``ContextTrie.predictive_probs`` calls as misses
+    model = dataclasses.replace(toy_model)
+    real = ContextTrie.predictive_probs
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ContextTrie, "predictive_probs", counted)
+    for config in [
+        RunConfig(decoder="astar-full"),
+        RunConfig(decoder="mcmc", iters=40, burn_in=5, seed=2),
+    ]:
+        for i, (words, _) in enumerate(toy_corpus):
+            assert _decode_one(model, list(words), config, i).parsed
+    assert len(calls) == len(model._expansion_cache) > 0
 
 
 def test_predict_writes_each_line_as_its_sentence_is_decoded(

@@ -204,6 +204,68 @@ def test_capped_chain_keeps_every_float(models_by_mode, data):
     assert ids == model.grammar.rules_for(lhs)
     p = probs[ids]
     assert np.array_equal(logs, np.log(p) - math.log(p.sum()))
+    # the models keep their fold memos across examples, so most misses
+    # start mid-chain; every memoized vector is still the plain fold's
+    contexts = {node: key[::-1] for _, key, node in trie.iter_restaurants()}
+    for restaurant, vector in capped_model._folds[lhs].items():
+        chain = trie.chain(contexts[restaurant])
+        assert chain[-1] is restaurant
+        assert np.array_equal(vector, trie.predictive_probs(chain, ids, model.params, model.base))
+
+
+def test_a_miss_folds_on_from_the_deepest_memoized_level(toy_model):
+    # a deep context, then its chain's prefix (the parent restaurant's
+    # context), then a sibling of the deep restaurant
+    model = dataclasses.replace(toy_model)
+    trie = model.trie
+    contexts = {node: key[::-1] for _, key, node in trie.iter_restaurants()}
+    deep = max((c for c in contexts.values() if c and len(trie.chain(c)[-2].children) > 1), key=len)
+    sibling = next(node for e, node in trie.chain(deep)[-2].children.items() if e != deep[0])
+    assert len(deep) >= 3
+    lhs = model.grammar.rules[next(iter(trie.chain(deep)[-1].customers))].lhs
+    folds = model._folds.setdefault(lhs, {})
+
+    model.expansion_log_probs(model.restaurant(deep), lhs)
+    assert set(folds) == {node for node in trie.chain(deep) if not node.is_empty()}
+    before = dict(folds)
+    model.expansion_log_probs(model.restaurant(deep[1:]), lhs)
+    assert folds.keys() == before.keys()  # the deep query memoized the parent
+    sibling_context = contexts[sibling]
+    model.expansion_log_probs(model.restaurant(sibling_context), lhs)
+    assert set(folds) - set(before) == {sibling}
+
+    fresh = dataclasses.replace(toy_model)
+    ids = model.grammar.rules_for(lhs)
+    for context in (deep, deep[1:], sibling_context):
+        chain = trie.chain(context)
+        assert np.array_equal(folds[chain[-1]], trie.predictive_probs(chain, ids, model.params, model.base))
+        ours = model.expansion_log_probs(model.restaurant(context), lhs)
+        theirs = fresh.expansion_log_probs(fresh.restaurant(context), lhs)
+        assert ours[0] == theirs[0] and np.array_equal(ours[1], theirs[1])
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2])
+def test_a_cap_set_after_uncapped_decoding_scores_as_a_fresh_capped_model(
+    toy_corpus, toy_model, cap
+):
+    # ``cli._load_decoding_model`` sets the cap by attribute on a model
+    # whose memos may already be filled
+    model = dataclasses.replace(toy_model)
+    events = [
+        event
+        for _, tree in toy_corpus
+        for event in extract_events(binarize_right(tree), model.grammar, model.context_mode)
+    ]
+    rules = model.grammar.rules
+
+    def scores(m):
+        return [m.expansion_log_probs(m.restaurant(context), rules[rule_id].lhs) for context, rule_id in events]
+
+    scores(model)
+    model.context_cap = cap
+    fresh = dataclasses.replace(toy_model, context_cap=cap)
+    for ours, theirs in zip(scores(model), scores(fresh)):
+        assert ours[0] == theirs[0] and np.array_equal(ours[1], theirs[1])
 
 
 @given(data=st.data())

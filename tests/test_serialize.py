@@ -1,6 +1,13 @@
+import contextlib
 import copy
 import hashlib
+import io
+import multiprocessing
+import os
+import random
 import struct
+import sys
+import traceback
 from collections import Counter
 
 import numpy as np
@@ -294,3 +301,104 @@ def test_diagnose_on_a_crafted_model_is_a_data_error(toy_model, tmp_path, capsys
     path.write_bytes(_crafted(toy_model, change))
     assert main(["diagnose", "--model", str(path), "--out", str(tmp_path / "diag")]) == 2
     assert capsys.readouterr().err.startswith("data error:")
+
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "data")
+FUZZ_MUTANTS = 1000
+FUZZ_SEED = 20150309
+FUZZ_HEADROOM = 1 << 30  # address space the fuzzing child may add to its own
+
+
+@pytest.fixture(scope="module")
+def fuzz_models(tmp_path_factory):
+    """(name, model bytes, sentences file, one sentence) for the toy parse
+    and tag models in both context modes."""
+    root = tmp_path_factory.mktemp("fuzz")
+    models = []
+    for task, corpus, sentences in [
+        ("parse", "toy_parse_train.mrg", "toy_parse_test_sentences.txt"),
+        ("tag", "toy_tag_train.txt", "toy_tag_test_sentences.txt"),
+    ]:
+        sentences = os.path.join(DATA, sentences)
+        with open(sentences, encoding="utf-8") as fh:
+            sentence = fh.readline().strip()
+        for mode in ("nonterminal", "rule"):
+            path = root / f"{task}-{mode}.model"
+            argv = ["train", os.path.join(DATA, corpus), "--model", str(path)]
+            assert main(argv + ["--task", task, "--context-mode", mode]) == 0
+            models.append((f"{task}-{mode}", path.read_bytes(), sentences, sentence))
+    return models
+
+
+def _run_mutants(models, workdir, count, rng):
+    """Each of ``count`` re-digested single-byte mutants, through ``load_model``
+    and, when it loads, through ``main`` for ``diagnose --sentence`` and
+    ``predict`` with the A* and MH decoders. Returns (loaded, internal
+    errors), an internal error being a load that raises anything but
+    ``ModelFormatError`` or a run that exits 3."""
+    path = os.path.join(workdir, "mutant.model")
+    small = ["--iters", "12", "--burn-in", "2", "--seed", "3"]
+    loaded, errors = 0, []
+    for i in range(count):
+        name, blob, sentences, sentence = models[i % len(models)]
+        payload = bytearray(blob[len(MAGIC) + 10 : -32])
+        pos = rng.randrange(len(payload))
+        payload[pos] ^= rng.randrange(1, 256)
+        mutant = _redigest(blob, bytes(payload))
+        where = f"{name} byte {pos} -> {payload[pos]}"
+        try:
+            load_model(mutant)
+        except ModelFormatError:
+            continue
+        except Exception:  # noqa: BLE001 - recorded as the failure
+            errors.append(f"{where}: load_model: {traceback.format_exc(limit=-1)}")
+            continue
+        loaded += 1
+        with open(path, "wb") as fh:
+            fh.write(mutant)
+        for command, argv in [
+            ("diagnose", ["diagnose", "--model", path, "--sentence", sentence, "--out", workdir, *small]),
+            ("astar-full", ["predict", sentences, "--model", path, "--decoder", "astar-full"]),
+            ("mcmc", ["predict", sentences, "--model", path, "--decoder", "mcmc", *small]),
+        ]:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            if code == 3:
+                errors.append(f"{where}: {command}: {err.getvalue().strip()}")
+    return loaded, errors
+
+
+def _fuzz_child(models, workdir, conn):
+    # Cap this process alone: a mutant that makes the program allocate
+    # past the cap raises MemoryError, which ``main`` reports as exit 3.
+    import resource
+
+    try:
+        with open("/proc/self/statm") as fh:
+            size = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+        resource.setrlimit(resource.RLIMIT_AS, (size + FUZZ_HEADROOM, size + FUZZ_HEADROOM))
+        conn.send(_run_mutants(models, workdir, FUZZ_MUTANTS, random.Random(FUZZ_SEED)))
+    except BaseException:  # noqa: BLE001 - reported to the parent
+        conn.send((0, [traceback.format_exc()]))
+    finally:
+        conn.close()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs fork and /proc")
+def test_byte_mutated_models_never_exit_3(fuzz_models, tmp_path):
+    # Seeded single-byte mutations of the toy models, each under a valid
+    # digest: the reader refuses a mutant (exit 2), or the commands that
+    # use it run to a data error or a result; none is an internal error.
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+    child = context.Process(target=_fuzz_child, args=(fuzz_models, str(tmp_path), writer))
+    child.start()
+    writer.close()
+    try:
+        loaded, errors = reader.recv()
+    finally:
+        child.join()
+    assert child.exitcode == 0
+    assert errors == []
+    assert loaded > 50  # the commands ran on a fair share of the mutants
