@@ -219,10 +219,17 @@ def _decode_one(model: TrainedModel, words: list[str], config: RunConfig, index:
 def _load_decoding_model(path: str, config: RunConfig) -> TrainedModel:
     """Load a model to decode with, under the config's context cap if it sets one.
 
-    The model is read-only while decoding, so it is frozen out of the
-    cyclic collector's scans (and a pool parent freezes it before it forks).
+    The cyclic collector is paused while the model loads; the model is then
+    read-only, so it is frozen out of the collector's scans (a pool parent
+    freezes it before it forks).
     """
-    model = load_model_file(path)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        model = load_model_file(path)
+    finally:
+        if enabled:
+            gc.enable()
     gc.freeze()
     if config.context_cap is not None:
         model.context_cap = config.context_cap

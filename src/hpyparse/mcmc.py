@@ -1,14 +1,14 @@
 """Metropolis-Hastings tree sampling and minimum-risk span decoding.
 
-The chain proposes whole derivations, the (item, context, edge) steps of
-``events.leftmost_walk``, from the baseline grammar via inside sampling,
-and accepts with the standard independence-proposal ratio; on rejection
-the previous state is retained. Each distinct derivation drawn is scored
-once (both log probabilities are sums over its steps), post-burn-in
-states count their items' (label, span) pairs, and one tree is built per
-distinct kept derivation. The decoder picks the tree in the hypergraph
-whose total span count is maximal; a tree's span count is summed over the
-items of its derivation (``events.tree_steps``), as a state's are.
+The chain proposes whole derivations from the baseline grammar via inside
+sampling, and accepts with the standard independence-proposal ratio; on
+rejection the previous state is retained. A proposal draws only its edges;
+each distinct derivation drawn is replayed once through
+``events.leftmost_walk`` for its (item, context, edge) steps and scored
+(both log probabilities are sums over its steps). Post-burn-in states
+count their items' (label, span) pairs, and one tree is built per distinct
+kept derivation. The decoder picks the tree in the hypergraph whose total
+span count is maximal, summed over its derivation's items (``tree_steps``).
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .events import leftmost_walk, tree_steps
-from .hypergraph import Edge, Hypergraph, Step, build_tree
+from .events import child_elements, leftmost_walk, tree_steps
+from .hypergraph import Edge, Hypergraph, Node, Step, build_tree
 from .model import TrainedModel
 from .pcfg import InsideChart, best_tree, derivation_log_prob, inside, sampling_pick
 from .pcfg import sample_tree  # noqa: F401 - hpybench/tracing.py wraps this name
@@ -71,35 +71,46 @@ def mh_sample(
         chart = inside(pcfg, words)
     grammar = model.grammar
     root = (grammar.root, 0, len(words))
+    mode = model.context_mode
     pick = sampling_pick(pcfg, chart, rng)
+    children: dict[tuple[Node, Edge], list[Node]] = {}  # right to left, per edge drawn
     weights: dict[tuple[Edge, ...], float] = {}  # log p - log q, per derivation drawn
+    walks: dict[tuple[Edge, ...], list[Step]] = {}  # per derivation drawn
     trees: dict[tuple[Edge, ...], Tree] = {}  # per derivation kept
 
-    def propose() -> tuple[list[Step], tuple[Edge, ...]]:
-        steps = leftmost_walk(grammar, root, pick, model.context_mode)
-        key = tuple(edge for _, _, edge in steps)
+    def propose() -> tuple[Edge, ...]:
+        edges, stack = [], [root]  # leftmost_walk's stack, so pick draws in its order
+        while stack:
+            item = stack.pop()
+            edges.append(edge := pick(item))
+            if (item, edge) not in children:
+                children[item, edge] = [c for c, _ in child_elements(grammar, item, edge, mode)][::-1]
+            stack.extend(children[item, edge])
+        key = tuple(edges)
         if key not in weights:
+            replay = iter(key)
+            steps = walks[key] = leftmost_walk(grammar, root, lambda _: next(replay), mode)
             events = ((context, rule_id) for _, context, (rule_id, _) in steps)
             weights[key] = model.events_log_prob(events) - derivation_log_prob(pcfg, steps)
-        return steps, key
+        return key
 
-    current, key = propose()
+    key = propose()
     stats = SampleStats(iterations=iters)
     samples: list[Tree] = []
     trace: list[bool] = []
     for t in range(iters):
-        proposal, proposal_key = propose()
+        proposal_key = propose()
         log_ratio = weights[proposal_key] - weights[key]
         accept = log_ratio >= 0 or math.log(rng.random()) < log_ratio
         if accept:
-            current, key = proposal, proposal_key
+            key = proposal_key
             stats.acceptance_count += 1
         trace.append(accept)
         if t >= burn_in:
             if key not in trees:
-                trees[key] = build_tree(grammar, words, current)
+                trees[key] = build_tree(grammar, words, walks[key])
             samples.append(trees[key])
-            stats.add_derivation(current)
+            stats.add_derivation(walks[key])
     return stats, samples, trace
 
 

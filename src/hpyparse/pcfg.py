@@ -18,6 +18,7 @@ each tree's edges, and a tree's log probability sums its steps'.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -84,7 +85,7 @@ class InsideChart:
     def __post_init__(self) -> None:
         # per-item edges and normalized cumulative weights, shared
         # across repeated draws
-        self._options: dict[Node, tuple[list[Edge], np.ndarray]] = {}
+        self._options: dict[Node, tuple[list[Edge], list[float]]] = {}
 
     def log_prob(self, nt: int, i: int, j: int) -> float:
         return float(self.scores[nt, i, j])
@@ -173,7 +174,8 @@ def sampling_pick(
     pcfg: Pcfg, chart: InsideChart, rng: np.random.Generator
 ) -> Callable[[Node], Edge]:
     """A ``pick`` drawing each item's edge in proportion to its rule
-    probability times its tails' inside sums."""
+    probability times its tails' inside sums; ``bisect_right`` on a list cdf
+    draws the index ``searchsorted(u, side="right")`` does, without numpy."""
     assert pcfg.grammar.root is not None
     if chart.log_prob(pcfg.grammar.root, 0, chart.n) == NEG_INF:
         raise DataError("sentence has no derivation under the proposal grammar")
@@ -190,13 +192,13 @@ def sampling_pick(
             probs /= probs.sum()
             cdf = probs.cumsum()
             cdf /= cdf[-1]
-            options[head] = (head_edges, cdf)
+            options[head] = (head_edges, cdf.tolist())
 
     def pick(item: Node) -> Edge:
         # the draw ``rng.choice(len(item_edges), p=probs)`` makes, without
         # its per-call checks of ``probs``
         item_edges, cdf = options[item]
-        return item_edges[cdf.searchsorted(rng.random(), side="right")]
+        return item_edges[bisect_right(cdf, rng.random())]
 
     return pick
 

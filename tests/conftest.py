@@ -4,8 +4,10 @@ import pytest
 from hypothesis import settings
 
 import hpyparse.hypergraph
+import hpyparse.mcmc
 
 from hpyparse.config import RunConfig
+from hpyparse.events import NONTERMINAL_CONTEXT, leftmost_walk
 from hpyparse.model import train_model
 from hpyparse.trees import read_treebank
 
@@ -94,3 +96,39 @@ def derivation_calls(monkeypatch):
         if name.startswith("hpyparse") and getattr(module, "derivations", None) is real:
             monkeypatch.setattr(module, "derivations", counted)
     return calls
+
+
+@pytest.fixture
+def drawn_picks(monkeypatch):
+    """Each (item, edge) that ``mh_sample``'s pick is asked for and gives, in order."""
+    picks = []
+    real = hpyparse.mcmc.sampling_pick
+
+    def recording(*args):
+        pick = real(*args)
+
+        def recorded(item):
+            picks.append((item, pick(item)))
+            return picks[-1][1]
+
+        return recorded
+
+    monkeypatch.setattr(hpyparse.mcmc, "sampling_pick", recording)
+    return picks
+
+
+def replay_proposals(grammar, root, picks, mode=NONTERMINAL_CONTEXT):
+    """Cut recorded picks into proposals: each is the ``leftmost_walk`` that
+    asks for the recorded items in their order and is given their edges."""
+    walks, position = [], 0
+
+    def replay(item):
+        nonlocal position
+        drawn_item, edge = picks[position]
+        position += 1
+        assert drawn_item == item
+        return edge
+
+    while position < len(picks):
+        walks.append(leftmost_walk(grammar, root, replay, mode))
+    return walks

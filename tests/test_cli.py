@@ -165,32 +165,46 @@ def test_predict_with_worker_pool(trained, tmp_path, capsys):
         assert fa.read() == fb.read()
 
 
-def _bracket_word_sentences(tmp_path):
+def _bracket_word_sentences(tmp_path, model):
     path = tmp_path / "bracket.txt"
     path.write_text("the dog ran\nthe (dog ran\n")
-    return ["predict", str(path)]
+    return ["predict", str(path), "--model", model]
+
+
+def _corrupted_model(tmp_path, model):
+    with open(model, "rb") as fh:
+        data = fh.read()
+    path = tmp_path / "corrupted.model"
+    path.write_bytes(data[: len(data) // 2])
+    return ["predict", SENTS, "--model", str(path)]
 
 
 @pytest.mark.parametrize(
     "command, exit_code",
     [
-        (lambda tmp_path: ["predict", SENTS, "--output", str(tmp_path / "pred.txt")], 0),
+        (lambda tmp_path, model: ["predict", SENTS, "--model", model,
+                                  "--output", str(tmp_path / "pred.txt")], 0),
         (_bracket_word_sentences, 2),  # refused after the model has loaded
-        (lambda tmp_path: ["diagnose", "--out", str(tmp_path / "diag"),
-                           "--sentence", "the dog saw the cat with the hat",
-                           "--iters", "20", "--burn-in", "2"], 0),
+        (_corrupted_model, 2),  # refused while the model loads
+        (lambda tmp_path, model: ["diagnose", "--model", model, "--out", str(tmp_path / "diag"),
+                                  "--sentence", "the dog saw the cat with the hat",
+                                  "--iters", "20", "--burn-in", "2"], 0),
     ],
-    ids=["predict", "predict-data-error", "diagnose-sentence"],
+    ids=["predict", "predict-data-error", "predict-corrupted-model", "diagnose-sentence"],
 )
 def test_decoding_commands_hand_the_collector_back(trained, tmp_path, capsys, command, exit_code):
     before = gc.get_freeze_count(), gc.isenabled()
-    code, _, err = run(command(tmp_path) + ["--model", trained], capsys)
+    code, _, err = run(command(tmp_path, trained), capsys)
     assert code == exit_code, err
     assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 def test_the_model_is_frozen_while_sentences_decode(trained, capsys, monkeypatch):
-    seen = []
+    seen, loads = [], []
+
+    def load(path):
+        loads.append(gc.isenabled())
+        return load_model_file(path)
 
     def decode(model, *args):
         restaurants = sum(1 for _ in model.trie.iter_restaurants())
@@ -198,8 +212,10 @@ def test_the_model_is_frozen_while_sentences_decode(trained, capsys, monkeypatch
         return _decode_one(model, *args)
 
     monkeypatch.setattr(hpyparse.cli, "_decode_one", decode)
+    monkeypatch.setattr(hpyparse.cli, "load_model_file", load)
     code, _, _ = run(["predict", SENTS, "--model", trained, "--decoder", "cyk"], capsys)
     assert code == 0 and seen
+    assert loads == [False]  # the collector is paused while the model loads
     assert all(frozen >= restaurants > 0 for frozen, restaurants in seen)
 
 

@@ -26,9 +26,11 @@ from hpyparse.pcfg import (
     sampling_pick,
     tree_log_prob_under_pcfg,
 )
+from hpyparse.synthetic import generate_tag_corpus
+from hpyparse.transforms import pos_to_tree
 from hpyparse.trees import read_treebank, write_tree
 
-from .conftest import AMBIGUOUS_SENTENCE
+from .conftest import AMBIGUOUS_SENTENCE, replay_proposals
 from .oracles import enumerate_parses
 
 
@@ -282,3 +284,50 @@ def test_chain_matches_the_rescoring_chain(toy_corpus, monkeypatch, mode):
     assert stats == want_stats
     assert 0 < stats.acceptance_count < iters
     assert len(built) == len(set(built)) == len({id(t) for t in samples}) == 2
+
+
+# Derivations of "the dog ran" and "a cat fell" run through unary chains
+# such as S -> Z, Y -> X -> NP and VP -> VB.
+UNARY_CHAIN_TREEBANK = """\
+(S (NP (DT the) (NN dog)) (VP (VB ran)))
+(S (X (NP (DT the) (NN dog))) (VP (VB ran)))
+(S (Y (X (NP (DT a) (NN cat)))) (VP (VB fell)))
+(S (Z (NP (DT the) (NN cat)) (VP (VB fell))))
+"""
+
+
+def _draw_case(name, toy_corpus):
+    """(task, corpus, sentence) for one of the edge-draw cases."""
+    if name == "parse":
+        return "parse", toy_corpus, AMBIGUOUS_SENTENCE
+    if name == "tag":  # a tag chain whose words are ambiguous
+        tagged = generate_tag_corpus(60, np.random.default_rng(5))
+        return "tag", [(w, pos_to_tree(t, w)) for w, t in tagged], "u u v v u v".split()
+    corpus, _ = read_treebank(UNARY_CHAIN_TREEBANK)
+    return "parse", corpus, "the dog ran".split()
+
+
+@pytest.mark.parametrize("mode", CONTEXT_MODES)
+@pytest.mark.parametrize("case", ["parse", "tag", "unary-chains"])
+def test_a_proposal_draws_the_edges_of_its_walk(toy_corpus, drawn_picks, case, mode):
+    """A proposal asks pick for the items ``leftmost_walk`` asks for, in
+    the walk's order, and is keyed by the walk's edges: the kept states
+    count and build exactly the walks the trace accepts."""
+    task, corpus, words = _draw_case(case, toy_corpus)
+    model, _ = train_model(corpus, RunConfig(task=task, rare_threshold=0, context_mode=mode))
+    grammar, words = model.grammar, model.mapper.map_sentence(words)
+    iters, burn_in = 120, 10
+    stats, samples, trace = mh_sample(model, words, iters, burn_in, np.random.default_rng(4))
+    proposals = replay_proposals(grammar, (grammar.root, 0, len(words)), drawn_picks, mode)
+    assert len(proposals) == iters + 1  # every recorded pick was one proposal's
+    assert len({tuple(edge for _, _, edge in steps) for steps in proposals}) > 1
+    state, want = proposals[0], SampleStats(iterations=iters, acceptance_count=sum(trace))
+    for t, accepted in enumerate(trace):
+        state = proposals[t + 1] if accepted else state
+        if t >= burn_in:
+            want.add_derivation(state)
+            assert write_tree(samples[t - burn_in]) == write_tree(build_tree(grammar, words, state))
+    assert stats == want
+    if case == "unary-chains":
+        unary = [[grammar.rules[rule_id].is_unary for _, _, (rule_id, _) in steps] for steps in proposals]
+        assert any(a and b for flags in unary for a, b in zip(flags, flags[1:]))

@@ -14,7 +14,7 @@ from hpyparse.model import TrainedModel, build_grammar, train_model
 from hpyparse.transforms import binarize_right
 from hpyparse.trees import read_tree
 
-from .conftest import AMBIGUOUS_SENTENCE
+from .conftest import AMBIGUOUS_SENTENCE, replay_proposals
 
 def test_train_stats_reflect_corpus(toy_corpus, toy_model_and_stats):
     model, stats = toy_model_and_stats
@@ -85,7 +85,7 @@ def test_context_cap_queries_the_context_suffix(toy_corpus, toy_model):
             assert np.array_equal(logs, want_logs)
 
 
-def test_one_expansion_query_per_scored_event(toy_corpus, toy_model, monkeypatch):
+def test_one_expansion_query_per_scored_event(toy_corpus, toy_model, monkeypatch, drawn_picks):
     # The traced model.expansion_calls counts exactly these queries.
     grammar = toy_model.grammar
     queries, walks = [], []
@@ -111,15 +111,19 @@ def test_one_expansion_query_per_scored_event(toy_corpus, toy_model, monkeypatch
     assert queries == expected
     queries.clear()
     mcmc.mh_sample(toy_model, AMBIGUOUS_SENTENCE, 6, 2, np.random.default_rng(3))
-    assert len(walks) == 7  # the first state plus one proposal per iteration
-    # each distinct derivation is scored once, when it is first drawn
+    root = (grammar.root, 0, len(AMBIGUOUS_SENTENCE))
+    proposals = replay_proposals(grammar, root, drawn_picks)
+    assert len(proposals) == 7  # the first state plus one proposal per iteration
+    # leftmost_walk runs once per distinct derivation, when it is first drawn,
+    # and only those walks are scored
     first_drawn = {}
-    for steps in walks:
+    for steps in proposals:
         first_drawn.setdefault(tuple(edge for _, _, edge in steps), steps)
-    assert 1 < len(first_drawn) < len(walks)
+    assert 1 < len(first_drawn) < len(proposals)
+    assert walks == list(first_drawn.values())
     assert queries == [
         (toy_model.restaurant(context), grammar.rules[rule_id].lhs)
-        for steps in first_drawn.values()
+        for steps in walks
         for _, context, (rule_id, _) in steps
     ]
 

@@ -1,5 +1,6 @@
 import math
 import os
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hpyparse.model import build_grammar
 from hpyparse.pcfg import (
     NEG_INF,
     Pcfg,
+    _edge_score,
     cyk_viterbi,
     estimate_mle,
     inside,
@@ -23,6 +25,7 @@ from hpyparse.pcfg import (
 from hpyparse.transforms import binarize_right, pos_to_tree
 from hpyparse.trees import read_tag_corpus, read_tree, read_treebank, write_tree
 
+from .conftest import AMBIGUOUS_SENTENCE
 from .oracles import enumerate_parses, tree_prob
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
@@ -273,3 +276,55 @@ def test_sampler_rejects_underivable():
     chart = inside(pcfg, ["b", "b"])
     with pytest.raises(DataError):
         sample_tree(pcfg, chart, ["b", "b"], np.random.default_rng(0))
+
+
+def test_bisect_draws_the_index_searchsorted_draws():
+    rng = np.random.default_rng(17)
+    for size in range(1, 40):
+        weights = rng.random(size)
+        weights[rng.random(size) < 0.3] = 0.0  # zero-probability edges repeat a cdf entry
+        weights[-1] += 0.5
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        as_list = cdf.tolist()
+        for u in [0.0, *rng.random(25), *as_list]:  # draws equal to cdf entries too
+            assert bisect_right(as_list, u) == cdf.searchsorted(u, side="right")
+
+
+def _numpy_pick(pcfg, chart, rng):
+    """``sampling_pick`` as it drew with numpy cdfs and ``searchsorted``."""
+    weights = {}
+    for head, edge, tails in chart.derivations:
+        head_edges, head_weights = weights.setdefault(head, ([], []))
+        head_edges.append(edge)
+        head_weights.append(_edge_score(pcfg, chart.scores, edge, tails))
+    options = {}
+    for head, (head_edges, head_weights) in weights.items():
+        logw = np.array(head_weights)
+        probs = np.exp(logw - logw.max())
+        probs /= probs.sum()
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        options[head] = (head_edges, cdf)
+
+    def pick(item):
+        item_edges, cdf = options[item]
+        return item_edges[cdf.searchsorted(rng.random(), side="right")]
+
+    return pick
+
+
+def test_sampling_pick_draws_what_the_numpy_pick_draws(toy_model):
+    pcfg = toy_model.pcfg
+    chart = inside(pcfg, AMBIGUOUS_SENTENCE)
+    items = sorted({head for head, _, _ in chart.derivations})
+    rng, reference_rng = np.random.default_rng(23), np.random.default_rng(23)
+    pick, reference = sampling_pick(pcfg, chart, rng), _numpy_pick(pcfg, chart, reference_rng)
+    drawn = set()
+    for k in range(1000):
+        item = items[k % len(items)]
+        edge = pick(item)
+        assert edge == reference(item)
+        drawn.add((item, edge))
+    assert len(drawn) > len(items)  # some item drew more than one edge
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
