@@ -32,7 +32,8 @@ from .errors import DataError
 from .events import child_elements, leftmost_walk, root_context
 from .hypergraph import Hypergraph, Node, build_tree
 from .model import TrainedModel
-from .pcfg import NEG_INF, InsideChart, cyk_viterbi
+from .pcfg import NEG_INF, InsideChart, best_tree
+from .pcfg import cyk_viterbi  # noqa: F401 - hpybench/tracing.py wraps this name
 from .trees import Tree
 
 HEURISTIC_FULL = "full"
@@ -136,8 +137,8 @@ def astar_parse(
                 evictions += 1
             if len(queue) > max_queue:
                 max_queue = len(queue)
-    else:  # the queue starved
-        tree = cyk_viterbi(model.pcfg, hg.words)
+    else:  # the queue starved: the proposal grammar's Viterbi tree of ``hg``
+        tree = best_tree(hg, lambda _, edge: model.pcfg.log_probs[edge[0]])
         if tree is None:
             raise DataError("search starved and the fallback grammar has no parse")
         log_score, used_fallback = model.tree_log_prob(tree), True

@@ -24,7 +24,7 @@ from .astar import astar_parse
 from .config import RunConfig, build_config, parse_config_text
 from .errors import DataError, UsageError, file_errors
 from .hypergraph import build_hypergraph
-from .hpyp import log_posterior
+from .hpyp import SeatingStats, log_posterior_from_stats
 from .mcmc import mbr_decode, mh_sample, most_frequent_tree
 from .metrics import (
     render_report,
@@ -217,27 +217,17 @@ def _decode_one(model: TrainedModel, words: list[str], config: RunConfig, index:
 
 
 def _load_decoding_model(path: str, config: RunConfig) -> TrainedModel:
-    """Load a model to decode with, under the config's context cap if it sets one.
-
-    The cyclic collector is paused while the model loads; the model is then
-    read-only, so it is frozen out of the collector's scans (a pool parent
-    freezes it before it forks).
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        model = load_model_file(path)
-    finally:
-        if enabled:
-            gc.enable()
-    gc.freeze()
+    """Load a model to decode with, under the config's context cap if it sets one."""
+    model = load_model_file(path)
     if config.context_cap is not None:
         model.context_cap = config.context_cap
     return model
 
 
 def _pool_init(model_path: str, config: RunConfig) -> None:
-    # a forked worker inherits the parent's loaded model; others load it
+    # a forked worker inherits the parent's loaded model and the collector
+    # off; a spawned or forkserver one does not run main, so it turns it off
+    gc.disable()
     if "model" not in _WORKER_STATE:
         _WORKER_STATE["model"] = _load_decoding_model(model_path, config)
     _WORKER_STATE["config"] = config
@@ -379,27 +369,22 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         os.makedirs(args.out, exist_ok=True)
 
     print("depth  discount  concentration  restaurants  customers")
-    per_depth: dict[int, list[int]] = {}
-    for depth, _, restaurant in model.trie.iter_restaurants():
-        if restaurant.is_empty():
-            continue
-        per_depth.setdefault(depth, [0, 0])
-        per_depth[depth][0] += 1
-        per_depth[depth][1] += restaurant.total_customers
+    stats = SeatingStats.collect(model.trie, model.base)
     for depth in range(model.params.depths):
         d, c = model.params.at(depth)
-        count, customers = per_depth.get(depth, (0, 0))
+        # entry i counts restaurants with more than i customers: entry 0 the
+        # non-empty ones, the sum their customers
+        ge = stats.customers_ge[depth] if depth < stats.depths else ()
+        count, customers = (int(ge[0]), int(ge.sum())) if len(ge) else (0, 0)
         print(f"{depth:<5}  {d:<8.4f}  {c:<13.4f}  {count:<11}  {customers}")
     print(f"events           {model.trie.num_events}")
     print(f"max-depth        {model.trie.max_depth}")
-    print(
-        f"log-posterior    {log_posterior(model.trie, model.params, model.base):.6f}"
-    )
+    print(f"log-posterior    {log_posterior_from_stats(stats, model.params):.6f}")
 
     def dump_restaurant(restaurant, name: str) -> None:
         path = os.path.join(args.out, f"rank_frequency_{name}.csv")
         rows = sorted(restaurant.customers.items(), key=lambda kv: (-kv[1], kv[0]))
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with file_errors("write", path), open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["rank", "count", "rule"])
             for rank, (dish, count) in enumerate(rows, start=1):
@@ -436,7 +421,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             model, mapped, config.iters, config.burn_in, rng, chart
         )
         trace_path = os.path.join(args.out, "acceptance_trace.csv")
-        with open(trace_path, "w", newline="", encoding="utf-8") as fh:
+        with file_errors("write", trace_path), open(trace_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "accepted", "cumulative_rate"])
             accepted = 0
@@ -458,8 +443,11 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # No command makes a reference cycle per input, so the cyclic collector
+    # would only rescan the model's restaurants: it is off while a command
+    # runs, and handed back as the caller had it.
+    collecting = gc.isenabled()
     parser = _make_parser()
-    frozen = gc.get_freeze_count()
     try:
         args = parser.parse_args(argv)
         handler = {
@@ -468,6 +456,7 @@ def main(argv: list[str] | None = None) -> int:
             "evaluate": cmd_evaluate,
             "diagnose": cmd_diagnose,
         }[args.command]
+        gc.disable()
         return handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -479,10 +468,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     finally:
-        # hand a decoding model back to the collector (unfreeze hands back
-        # all frozen objects, so a caller that froze none gets back none)
-        if gc.get_freeze_count() > frozen:
-            gc.unfreeze()
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

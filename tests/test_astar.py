@@ -102,7 +102,7 @@ def test_beam_one_still_completes(toy_model):
     assert math.isfinite(result.log_score)
 
 
-def test_starved_queue_falls_back_to_viterbi(toy_model):
+def test_starved_queue_falls_back_to_viterbi(toy_model, derivation_calls):
     words = "the dog ran".split()
     mapped, hg, _ = prepared(toy_model, words)
     dead = Pcfg(
@@ -111,8 +111,10 @@ def test_starved_queue_falls_back_to_viterbi(toy_model):
         toy_model.pcfg.lhs_freq,
     )
     dead_chart = inside(dead, mapped)
+    derivation_calls.clear()
     result = astar_parse(toy_model, hg, dead_chart, "full", beam=8)
     assert result.used_fallback
+    assert derivation_calls == []  # the fallback folds the hypergraph it was given
     assert write_tree(result.tree) == "(S (NP (DT the) (NN dog)) (VP (VB ran)))"
 
 

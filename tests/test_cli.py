@@ -189,8 +189,11 @@ def _corrupted_model(tmp_path, model):
         (lambda tmp_path, model: ["diagnose", "--model", model, "--out", str(tmp_path / "diag"),
                                   "--sentence", "the dog saw the cat with the hat",
                                   "--iters", "20", "--burn-in", "2"], 0),
+        (lambda tmp_path, model: ["train", TRAIN, "--model", str(tmp_path / "m.model")], 0),
+        (lambda tmp_path, model: ["evaluate", GOLD, GOLD], 0),
     ],
-    ids=["predict", "predict-data-error", "predict-corrupted-model", "diagnose-sentence"],
+    ids=["predict", "predict-data-error", "predict-corrupted-model", "diagnose-sentence",
+         "train", "evaluate"],
 )
 def test_decoding_commands_hand_the_collector_back(trained, tmp_path, capsys, command, exit_code):
     before = gc.get_freeze_count(), gc.isenabled()
@@ -199,24 +202,130 @@ def test_decoding_commands_hand_the_collector_back(trained, tmp_path, capsys, co
     assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
-def test_the_model_is_frozen_while_sentences_decode(trained, capsys, monkeypatch):
-    seen, loads = [], []
+def _internal_error(*args):
+    raise RuntimeError("decoder fault")
+
+
+@pytest.mark.parametrize("exit_code", [0, 1, 2, 3])
+def test_main_hands_back_the_callers_collector_state(trained, tmp_path, capsys, monkeypatch, exit_code):
+    """Whatever the exit code, main leaves the collector on or off as the
+    caller had it, and the objects the caller froze stay frozen: outside
+    the collected generations, so not in ``gc.get_objects()``. (The freeze
+    count itself can fall while main runs, as frozen cache entries such as
+    ``re``'s are replaced.)"""
+    bracket = tmp_path / "bracket.txt"
+    bracket.write_text("the (dog ran\n")
+    args = {
+        0: ["predict", SENTS, "--model", trained],
+        1: ["predict", SENTS, "--model", trained, "--task", "tag"],  # refused after the load
+        2: ["predict", str(bracket), "--model", trained],
+        3: ["predict", SENTS, "--model", trained],
+    }[exit_code]
+    if exit_code == 3:
+        monkeypatch.setattr(hpyparse.cli, "_decode_one", _internal_error)
+    callers = [[] for _ in range(100)]
+    gc.freeze()
+    try:
+        for collecting in (True, False):
+            (gc.enable if collecting else gc.disable)()
+            code, _, err = run(args, capsys)
+            assert code == exit_code, err
+            assert gc.isenabled() == collecting
+            tracked = {id(obj) for obj in gc.get_objects()}
+            assert not any(id(obj) in tracked for obj in callers)
+    finally:
+        gc.unfreeze()
+        gc.enable()
+
+
+def test_the_collector_is_off_while_sentences_decode(trained, capsys, monkeypatch):
+    seen = []
 
     def load(path):
-        loads.append(gc.isenabled())
+        seen.append(("load", gc.isenabled(), gc.get_freeze_count()))
         return load_model_file(path)
 
     def decode(model, *args):
-        restaurants = sum(1 for _ in model.trie.iter_restaurants())
-        seen.append((gc.get_freeze_count(), restaurants))
+        seen.append(("decode", gc.isenabled(), gc.get_freeze_count()))
         return _decode_one(model, *args)
 
     monkeypatch.setattr(hpyparse.cli, "_decode_one", decode)
     monkeypatch.setattr(hpyparse.cli, "load_model_file", load)
+    frozen = gc.get_freeze_count()
     code, _, _ = run(["predict", SENTS, "--model", trained, "--decoder", "cyk"], capsys)
-    assert code == 0 and seen
-    assert loads == [False]  # the collector is paused while the model loads
-    assert all(frozen >= restaurants > 0 for frozen, restaurants in seen)
+    assert code == 0
+    try:  # a pool worker that was not forked starts with the collector on
+        hpyparse.cli._pool_init(trained, RunConfig(decoder="cyk"))
+        hpyparse.cli._pool_decode((0, ["the", "dog", "ran"]))
+    finally:
+        hpyparse.cli._WORKER_STATE.clear()
+        gc.enable()
+    with open(SENTS) as fh:
+        sentences = sum(1 for line in fh if line.strip())
+    assert [step for step, _, _ in seen] == ["load"] + ["decode"] * sentences + ["load", "decode"]
+    assert all(not collecting and count == frozen for _, collecting, count in seen)
+
+
+def _repeated(tmp_path, path, times):
+    """A new file holding ``path``'s lines ``times`` times over."""
+    with open(path) as fh:
+        text = fh.read()
+    repeated = tmp_path / f"{times}x_{os.path.basename(path)}"
+    repeated.write_text(text * times)
+    return str(repeated)
+
+
+def _pool_config(tmp_path):
+    config = tmp_path / "pool.conf"
+    config.write_text("workers=2\n")
+    return str(config)
+
+
+def _predict(decoder, pooled=False):
+    def command(tmp_path, model, times):
+        args = ["predict", _repeated(tmp_path, SENTS, times), "--model", model, "--decoder", decoder]
+        if decoder == "mcmc":
+            args += ["--iters", "30", "--burn-in", "5", "--seed", "2"]
+        return args + (["--config", _pool_config(tmp_path)] if pooled else [])
+
+    return command
+
+
+@pytest.mark.parametrize(
+    "command, sizes",
+    [
+        (lambda tmp_path, model, times: ["train", _repeated(tmp_path, TRAIN, times),
+                                         "--model", str(tmp_path / "m.model")], (1, 3)),
+        (_predict("mcmc"), (1, 4)),
+        (_predict("astar-full"), (1, 4)),
+        (_predict("mcmc", pooled=True), (1, 4)),
+        (_predict("astar-full", pooled=True), (1, 4)),
+        (lambda tmp_path, model, times: ["diagnose", "--model", model, "--out", str(tmp_path / "diag"),
+                                         "--sentence", "the dog saw the cat with the hat",
+                                         "--iters", str(30 * times), "--burn-in", "5"], (1, 4)),
+        (lambda tmp_path, model, times: ["evaluate", _repeated(tmp_path, GOLD, times),
+                                         _repeated(tmp_path, GOLD, times)], (1, 4)),
+    ],
+    ids=["train", "predict-mcmc", "predict-astar", "predict-mcmc-pool", "predict-astar-pool",
+         "diagnose-sentence", "evaluate"],
+)
+def test_commands_make_no_reference_cycles_per_input(trained, tmp_path, capsys, command, sizes):
+    """Run with the collector off, a command leaves the same cyclic garbage
+    at both input sizes (copies of the toy inputs, or diagnose's chain
+    length), so memory does not grow with the input without the collector."""
+    run(command(tmp_path, trained, sizes[0]), capsys)  # lazy imports and caches fill
+    garbage = []
+    for times in sizes:
+        args = command(tmp_path, trained, times)
+        gc.collect()
+        gc.disable()
+        try:
+            code, _, err = run(args, capsys)
+            garbage.append(gc.collect())
+        finally:
+            gc.enable()
+        assert code == 0, err
+    assert garbage[0] == garbage[1]
 
 
 def test_worker_pool_is_capped_by_sentences_and_cpus(trained, tmp_path, capsys, monkeypatch):
@@ -669,10 +778,16 @@ def test_trees_deeper_than_the_recursion_limit_never_exit_3(tmp_path, capsys):
         ["predict", SENTS, "--model", "{trained}", "--output", "{file}/out.txt"],
         ["diagnose", "--model", "{trained}", "--out", "{file}"],
         ["diagnose", "--model", "{trained}", "--out", "{file}/diag"],
+        ["diagnose", "--model", "{trained}", "--out", "{blocked_dump}"],
+        ["diagnose", "--model", "{trained}", "--out", "{blocked_trace}",
+         "--sentence", "the dog saw the cat"],
     ],
 )
 def test_unreadable_or_unwritable_files_are_data_errors(trained, tmp_path, capsys, args):
     (tmp_path / "file").write_text("not a directory\n")
+    # a directory where diagnose writes a CSV dump
+    (tmp_path / "blocked_dump" / "rank_frequency_depth0.csv").mkdir(parents=True)
+    (tmp_path / "blocked_trace" / "acceptance_trace.csv").mkdir(parents=True)
     (tmp_path / "latin1.mrg").write_bytes("(S (A caf\xe9))\n".encode("latin-1"))
     paths = {
         "latin1": str(tmp_path / "latin1.mrg"),
@@ -680,6 +795,8 @@ def test_unreadable_or_unwritable_files_are_data_errors(trained, tmp_path, capsy
         "dir": str(tmp_path),
         "file": str(tmp_path / "file"),
         "trained": trained,
+        "blocked_dump": str(tmp_path / "blocked_dump"),
+        "blocked_trace": str(tmp_path / "blocked_trace"),
     }
     code, _, err = run([arg.format(**paths) for arg in args], capsys)
     assert code == 2, err
