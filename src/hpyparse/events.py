@@ -15,9 +15,10 @@ a child's element onto its parent's restaurant (``TrainedModel.step``),
 one expansion at a time; ``leftmost_walk`` folds it onto the parent's
 context tuple along a whole derivation, as (item, context, edge) steps,
 asking a callback for each item's edge. A tree is a derivation too:
-``tree_edges`` reads its (rule, split) edges off its spans,
-``tree_steps`` replays them through the walk, and the tree's events
-(``extract_events``) are its steps' (context, rule) pairs.
+``tree_edges`` reads its (rule, split) edges off its spans (training
+reads them in the walk that interns the tree), ``tree_steps`` replays
+them through the walk, and the tree's events (``extract_events``) are
+its steps' (context, rule) pairs.
 """
 
 from __future__ import annotations
@@ -40,22 +41,6 @@ class Event(NamedTuple):
 
 def rule_context_element(rule_id: int, child_slot: int) -> int:
     return rule_id * 2 + child_slot
-
-
-def node_rule(grammar: Grammar, node: Tree) -> Rule:
-    lhs = grammar.nonterminals.id(node.label)
-    rhs = tuple(
-        Sym(True, grammar.terminals.id(c)) if isinstance(c, str) else Sym(False, grammar.nonterminals.id(c.label))
-        for c in node.children
-    )
-    return Rule(lhs, rhs)
-
-
-def register_rules(grammar: Grammar, tree: Tree) -> None:
-    """Intern every production used in ``tree`` into the grammar."""
-    for node in tree.internal_nodes():
-        rule = node_rule(grammar, node)
-        grammar.add_rule(rule.lhs, rule.rhs)
 
 
 def root_context(root: int, mode: str) -> tuple[int, ...]:
@@ -102,33 +87,48 @@ def leftmost_walk(
     return steps
 
 
-def tree_edges(grammar: Grammar, tree: Tree) -> list[Edge]:
+def tree_edges(grammar: Grammar, tree: Tree, intern: bool = False) -> list[Edge]:
     """Each internal node's (rule id, split) in pre-order; a binary node's
-    split is where its first child's span ends. A tree without spans is
+    split is where its first child's span ends. With ``intern``, the same
+    walk interns the tree's symbols and rules into the grammar: labels and
+    rules in pre-order, words in yield order. A tree without spans is
     given them first."""
     if tree.span is None:
         annotate_spans(tree)
-    edges: list[Edge] = []
-    for node in tree.internal_nodes():
-        rule_id = grammar.rule_id(node_rule(grammar, node))
-        if len(node.children) == 1:
-            edges.append((rule_id, -1))
-        else:
-            first = node.children[0]
-            split = first.span[1] if isinstance(first, Tree) else node.span[0] + 1
-            edges.append((rule_id, split))
+    nonterminals, terminals = grammar.nonterminals, grammar.terminals
+    label, word = (nonterminals.intern, terminals.intern) if intern else (nonterminals.id, terminals.id)
+    rows: list[tuple[Tree, int, list[Sym]]] = []  # per internal node in pre-order: node, lhs, rhs
+    todo: list[tuple[Tree | str, list[Sym]]] = [(tree, [])]  # a child with its parent's rhs
+    while todo:  # pops labels in pre-order and words in yield order
+        node, parent_rhs = todo.pop()
+        if isinstance(node, str):
+            parent_rhs.append(Sym(True, word(node)))
+            continue
+        lhs, rhs = label(node.label), []
+        parent_rhs.append(Sym(False, lhs))
+        rows.append((node, lhs, rhs))
+        todo.extend((child, rhs) for child in reversed(node.children))
+    edges = []
+    for node, lhs, rhs in rows:
+        rule_id = grammar.add_rule(lhs, rhs) if intern else grammar.rule_id(Rule(lhs, tuple(rhs)))
+        first = node.children[0]
+        edges.append((rule_id, -1 if len(rhs) == 1 else first.span[1] if isinstance(first, Tree) else node.span[0] + 1))
     return edges
 
 
-def tree_steps(grammar: Grammar, tree: Tree, mode: str = NONTERMINAL_CONTEXT) -> list[Step]:
-    """The tree's derivation: its ``tree_edges`` replayed through
-    ``leftmost_walk`` from the root item."""
-    replay = iter(tree_edges(grammar, tree))
+def tree_steps(
+    grammar: Grammar, tree: Tree, mode: str = NONTERMINAL_CONTEXT, edges: list[Edge] | None = None
+) -> list[Step]:
+    """The tree's derivation: its ``tree_edges`` (``edges``, if already
+    read) replayed through ``leftmost_walk`` from the root item."""
+    replay = iter(tree_edges(grammar, tree) if edges is None else edges)
     root = (grammar.nonterminals.id(tree.label),) + tree.span
     return leftmost_walk(grammar, root, lambda _: next(replay), mode)
 
 
-def extract_events(tree: Tree, grammar: Grammar, mode: str = NONTERMINAL_CONTEXT) -> list[Event]:
+def extract_events(
+    tree: Tree, grammar: Grammar, mode: str = NONTERMINAL_CONTEXT, edges: list[Edge] | None = None
+) -> list[Event]:
     """One event per internal node, in pre-order: the (context, rule) of
-    each step of the tree's derivation."""
-    return [Event(context, edge[0]) for _, context, edge in tree_steps(grammar, tree, mode)]
+    each step of the tree's derivation (``tree_steps``)."""
+    return [Event(context, edge[0]) for _, context, edge in tree_steps(grammar, tree, mode, edges)]

@@ -34,8 +34,9 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import DataError
-from .events import extract_events, register_rules
+from .events import extract_events, tree_edges
 from .grammar import Grammar
+from .hypergraph import Edge
 from .hpyp import BaseDistribution, ContextTrie, DepthParams, Restaurant
 from .optimize import optimize_params
 from .pcfg import Pcfg, estimate_mle
@@ -133,24 +134,24 @@ class TrainedModel:
         return self.events_log_prob(extract_events(tree, self.grammar, self.context_mode))
 
 
-def build_grammar(trees: list[Tree]) -> Grammar:
-    """Intern symbols and rules of fully preprocessed trees."""
+def intern_corpus(trees: list[Tree]) -> tuple[Grammar, list[list[Edge]]]:
+    """The grammar of fully preprocessed trees and each tree's edges,
+    read in one walk per tree (``tree_edges``)."""
     if not trees:
         raise DataError("empty corpus")
-    grammar = Grammar()
     roots = {t.label for t in trees}
     if len(roots) != 1:
         raise DataError(f"corpus has multiple root labels: {sorted(roots)}")
-    for tree in trees:
-        for node in tree.internal_nodes():
-            grammar.nonterminal(node.label)
-        for word in tree.leaves():
-            grammar.terminal(word)
-    for tree in trees:
-        register_rules(grammar, tree)
+    grammar = Grammar()
+    edges = [tree_edges(grammar, tree, intern=True) for tree in trees]
     grammar.set_root(grammar.nonterminal(trees[0].label))
     grammar.validate()
-    return grammar
+    return grammar, edges
+
+
+def build_grammar(trees: list[Tree]) -> Grammar:
+    """Intern symbols and rules of fully preprocessed trees."""
+    return intern_corpus(trees)[0]
 
 
 def make_base(variant: str, pcfg: Pcfg) -> BaseDistribution:
@@ -167,8 +168,9 @@ def train_model(
 
     Preprocessing order: right-binarize, then replace rare words; the
     grammar, events, and probability tables are all built from the
-    processed trees. The depth parameters are then fitted from the
-    config's hyperpriors, and the model keeps its ``context_cap``.
+    processed trees, whose edges are read once (``intern_corpus``). The
+    depth parameters are then fitted from the config's hyperpriors, and
+    the model keeps its ``context_cap``.
     """
     config = config or RunConfig()
     config.validate()
@@ -177,15 +179,16 @@ def train_model(
     binarized = [(words, binarize_right(tree)) for words, tree in corpus]
     replaced, mapper = replace_rare_words(binarized, config.rare_threshold)
     trees = [tree for _, tree in replaced]
-    grammar = build_grammar(trees)
+    grammar, edges = intern_corpus(trees)
     mapper.terminals = frozenset(grammar.terminals.texts())
-    pcfg = estimate_mle(grammar, trees)
+    pcfg = estimate_mle(grammar, trees, edges)
     base = make_base(config.base, pcfg)
 
     trie = ContextTrie(num_dishes=grammar.num_rules)
     num_events = 0
+    edges.reverse()  # popped in tree order: each tree's edges are freed once seated
     for tree in trees:
-        for context, rule_id in extract_events(tree, grammar, config.context_mode):
+        for context, rule_id in extract_events(tree, grammar, config.context_mode, edges.pop()):
             trie.insert(context, rule_id)
             num_events += 1
 

@@ -71,18 +71,24 @@ def optimize_params(
         raise ValueError(f"init covers {init.depths} depths, trie needs {depths}")
     init.check_box()
 
+    # the point last evaluated and its objective, which ``record`` reuses:
+    # the value is the same float with and without the gradient
+    last: list = [None, None]
+
     def neg_objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         params = _unpack(x, init, depths)
         value, grad = log_posterior_from_stats(stats, params, with_grad=True)
         if not np.isfinite(value):
             raise FloatingPointError(f"non-finite objective at {x!r}")
+        last[:] = x.copy(), value
         return -value, -grad
 
     trace: list[float] = []
 
     def record(x: np.ndarray) -> None:
-        params = _unpack(x, init, depths)
-        trace.append(float(log_posterior_from_stats(stats, params)))
+        if last[0] is None or not np.array_equal(x, last[0]):
+            last[:] = x.copy(), log_posterior_from_stats(stats, _unpack(x, init, depths))
+        trace.append(float(last[1]))
 
     x0 = np.clip(
         _pack(init, depths),

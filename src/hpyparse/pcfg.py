@@ -53,14 +53,15 @@ class Pcfg:
         return self.lhs_freq[lhs] * self.rule_probs
 
 
-def estimate_mle(grammar: Grammar, trees: list[Tree]) -> Pcfg:
-    """Relative-frequency estimates from a corpus of processed trees."""
+def estimate_mle(grammar: Grammar, trees: list[Tree], edges: list[list[Edge]] | None = None) -> Pcfg:
+    """Relative-frequency estimates from a corpus of processed trees;
+    ``edges`` are their ``tree_edges``, if already read."""
     if not trees:
         raise DataError("cannot estimate a grammar from an empty corpus")
-    rule_counts = np.zeros(grammar.num_rules)
-    for tree in trees:
-        for rule_id, _ in tree_edges(grammar, tree):
-            rule_counts[rule_id] += 1
+    if edges is None:
+        edges = [tree_edges(grammar, tree) for tree in trees]
+    rule_ids = [rule_id for row in edges for rule_id, _ in row]
+    rule_counts = np.bincount(rule_ids, minlength=grammar.num_rules).astype(float)
     lhs_totals = np.zeros(len(grammar.nonterminals))
     for rid, rule in enumerate(grammar.rules):
         lhs_totals[rule.lhs] += rule_counts[rid]

@@ -24,6 +24,8 @@ from __future__ import annotations
 import hashlib
 import io
 import struct
+from array import array
+from itertools import chain
 
 import numpy as np
 
@@ -89,12 +91,17 @@ class _Reader:
 
 
 def _write_trie(w: _Writer, trie: ContextTrie) -> None:
+    """The restaurants' preorder ``u32`` stream, gathered into one array and
+    written with one call, then the base draws."""
     w.pack("QI", trie.num_events, trie.max_depth)
+    stream = array("I")
     for _, key, node in trie.iter_restaurants():
         if key:
-            w.pack("I", key[-1])
-        w.pairs(node.customers)
-        w.pack("I", len(node.children))
+            stream.append(key[-1])
+        stream.append(len(node.customers))
+        stream.extend(chain.from_iterable(sorted(node.customers.items())))
+        stream.append(len(node.children))
+    w.buf.write(np.asarray(stream, dtype="<u4"))
     w.pairs(trie.base_counts)
 
 

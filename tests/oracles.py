@@ -7,11 +7,12 @@ and search code paths.
 
 from __future__ import annotations
 
+import struct
 from collections import Counter, defaultdict
 
 import numpy as np
 
-from hpyparse.grammar import Grammar
+from hpyparse.grammar import Grammar, Rule, Sym
 from hpyparse.trees import Tree, annotate_spans
 
 
@@ -65,6 +66,17 @@ class SeatingSimulator:
 
     def contexts(self) -> list[tuple]:
         return [c for c, dishes in self.tables.items() if dishes]
+
+
+# -- a node's rule, read directly ---------------------------------------------
+
+
+def _node_rule(grammar: Grammar, node: Tree) -> Rule:
+    rhs = tuple(
+        Sym(True, grammar.terminals.id(c)) if isinstance(c, str) else Sym(False, grammar.nonterminals.id(c.label))
+        for c in node.children
+    )
+    return Rule(grammar.nonterminals.id(node.label), rhs)
 
 
 # -- exhaustive parse enumeration --------------------------------------------
@@ -125,12 +137,67 @@ def enumerate_parses(grammar: Grammar, words: list[str], limit: int = 100000) ->
 
 def tree_prob(grammar: Grammar, rule_probs, tree: Tree) -> float:
     """Product of rule probabilities, computed directly."""
-    from hpyparse.events import node_rule
-
     p = 1.0
     for node in tree.internal_nodes():
-        p *= float(rule_probs[grammar.rule_id(node_rule(grammar, node))])
+        p *= float(rule_probs[grammar.rule_id(_node_rule(grammar, node))])
     return p
+
+
+# -- a treebank's grammar and a trie's bytes ---------------------------------
+
+
+def reference_grammar(trees: list[Tree]) -> Grammar:
+    """The grammar of processed trees, read in separate passes and not
+    validated: every tree's labels in pre-order and words in yield order,
+    then every tree's rules in pre-order; the first tree's label is the root."""
+    grammar = Grammar()
+    for tree in trees:
+        for node in tree.internal_nodes():
+            grammar.nonterminal(node.label)
+        for word in tree.leaves():
+            grammar.terminal(word)
+    for tree in trees:
+        for node in tree.internal_nodes():
+            grammar.add_rule(*_node_rule(grammar, node))
+    grammar.set_root(grammar.nonterminal(trees[0].label))
+    return grammar
+
+
+def reference_edges(grammar: Grammar, tree: Tree) -> list[tuple[int, int]]:
+    """Each internal node's (rule id, split) in pre-order, node by node:
+    the split is -1 for a unary node, else where its first child's span ends."""
+    edges = []
+    for node in tree.internal_nodes():
+        first = node.children[0]
+        split = -1 if len(node.children) == 1 else first.span[1] if isinstance(first, Tree) else node.span[0] + 1
+        edges.append((grammar.rule_id(_node_rule(grammar, node)), split))
+    return edges
+
+
+def write_trie_reference(trie) -> bytes:
+    """The model format's trie section, one ``struct.pack`` per value group:
+    the event count and maximum depth; each restaurant in preorder, children
+    by edge label, as its edge (not for the top one), its dish count and
+    sorted (dish, customers) pairs, and its child count; then the base
+    draws, one per dish the top restaurant serves."""
+    out = [struct.pack("<QI", trie.num_events, trie.max_depth)]
+
+    def pairs(counts: dict[int, int]) -> None:
+        out.append(struct.pack("<I", len(counts)))
+        for key in sorted(counts):
+            out.append(struct.pack("<II", key, counts[key]))
+
+    def restaurant(node, edge) -> None:
+        if edge is not None:
+            out.append(struct.pack("<I", edge))
+        pairs(node.customers)
+        out.append(struct.pack("<I", len(node.children)))
+        for child_edge in sorted(node.children):
+            restaurant(node.children[child_edge], child_edge)
+
+    restaurant(trie.root, None)
+    pairs({dish: 1 for dish in trie.root.customers})
+    return b"".join(out)
 
 
 # -- interpolated Kneser-Ney --------------------------------------------------

@@ -1,8 +1,10 @@
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpyparse.config import RunConfig
 from hpyparse.events import (
@@ -11,10 +13,12 @@ from hpyparse.events import (
     RULE_CONTEXT,
     extract_events,
     leftmost_walk,
-    register_rules,
+    tree_edges,
     tree_steps,
 )
+from hpyparse.errors import GrammarError
 from hpyparse.grammar import Grammar
+from hpyparse.hpyp import ContextTrie
 from hpyparse.hypergraph import build_hypergraph, build_tree
 from hpyparse.model import build_grammar, train_model
 from hpyparse.pcfg import NEG_INF, inside, sampling_pick, sentence_log_prob
@@ -22,6 +26,7 @@ from hpyparse.signatures import replace_rare_words
 from hpyparse.trees import read_tag_corpus, read_tree, read_treebank
 from hpyparse.transforms import binarize_right, pos_to_tree
 
+from .oracles import reference_edges, reference_grammar
 from .strategies import trees
 
 
@@ -29,11 +34,7 @@ def grammar_for(tree) -> Grammar:
     """Intern one tree without decoder-oriented validation (random trees
     may contain unary cycles, which event extraction does not care about)."""
     grammar = Grammar()
-    for node in tree.internal_nodes():
-        grammar.nonterminal(node.label)
-    for word in tree.leaves():
-        grammar.terminal(word)
-    register_rules(grammar, tree)
+    tree_edges(grammar, tree, intern=True)
     grammar.set_root(grammar.nonterminal(tree.label))
     return grammar
 
@@ -179,3 +180,82 @@ def test_a_trees_steps_are_the_derivation_that_built_it(toy_models, task, mode):
             assert events == [(context, rule_id) for _, context, (rule_id, _) in steps]
             checked += 1
     assert checked >= 10
+
+
+# -- the one walk per training tree --------------------------------------------
+
+
+def assert_same_grammar(grammar: Grammar, expected: Grammar) -> None:
+    assert grammar.nonterminals.texts() == expected.nonterminals.texts()
+    assert grammar.terminals.texts() == expected.terminals.texts()
+    assert grammar.rules == expected.rules
+    assert grammar.root == expected.root
+
+
+@pytest.mark.parametrize("text, nonterminals, terminals", [
+    ("(S (A a) b)", ["S", "A"], ["a", "b"]),
+    ("(S b (A a))", ["S", "A"], ["b", "a"]),
+    ("(S (A (C c)) (B b))", ["S", "A", "C", "B"], ["c", "b"]),
+    ("(S (A (C c) d) (B (D e) (C f)))", ["S", "A", "C", "B", "D"], ["c", "d", "e", "f"]),
+])
+def test_one_walk_interns_labels_in_pre_order_and_words_in_yield_order(text, nonterminals, terminals):
+    tree = read_tree(text)
+    grammar = Grammar()
+    edges = tree_edges(grammar, tree, intern=True)
+    assert grammar.nonterminals.texts() == nonterminals
+    assert grammar.terminals.texts() == terminals
+    grammar.set_root(0)
+    assert_same_grammar(grammar, reference_grammar([tree]))
+    assert edges == tree_edges(grammar, tree) == reference_edges(grammar, tree)
+
+
+def check_one_walk(corpus, config: RunConfig) -> None:
+    """``train_model`` reads the grammar, each tree's edges and the seated
+    events that the separate passes read from its processed trees."""
+    binarized = [(words, binarize_right(tree)) for words, tree in corpus]
+    trees = [tree for _, tree in replace_rare_words(binarized, config.rare_threshold)[0]]
+    expected = reference_grammar(trees)
+    walked = Grammar()
+    for tree in trees:
+        edges = reference_edges(expected, tree)
+        assert tree_edges(walked, tree, intern=True) == tree_edges(expected, tree) == edges
+    walked.set_root(walked.nonterminal(trees[0].label))
+    assert_same_grammar(walked, expected)
+
+    seated = []
+    insert = ContextTrie.insert
+
+    def counted(trie, context, dish):
+        seated.append((context, dish))
+        insert(trie, context, dish)
+
+    try:
+        with mock.patch.object(ContextTrie, "insert", counted):
+            model, _ = train_model(corpus, config)
+    except GrammarError:  # a unary cycle, which the reference has too
+        with pytest.raises(GrammarError):
+            expected.validate()
+        return
+    assert_same_grammar(model.grammar, expected)
+    assert seated == [
+        event for tree in trees for event in extract_events(tree, expected, config.context_mode)
+    ]
+
+
+@pytest.mark.parametrize("mode", CONTEXT_MODES)
+@pytest.mark.parametrize("task", ["parse", "tag"])
+def test_one_walk_on_the_toy_corpora(task, mode):
+    if task == "parse":
+        corpus, _ = read_treebank(_read("toy_parse_train.mrg"))
+    else:
+        corpus = [(w, pos_to_tree(t, w)) for w, t in read_tag_corpus(_read("toy_tag_train.txt"))]
+    check_one_walk(corpus, RunConfig(task=task, context_mode=mode))
+
+
+@settings(max_examples=60)
+@given(st.lists(trees(), min_size=1, max_size=5), st.sampled_from(CONTEXT_MODES), st.sampled_from([0, 1]))
+def test_one_walk_on_random_treebanks(treebank, mode, threshold):
+    for tree in treebank:
+        tree.label = "ROOT"  # one root label, as training requires
+    corpus = [(tree.leaves(), tree) for tree in treebank]
+    check_one_walk(corpus, RunConfig(context_mode=mode, rare_threshold=threshold))

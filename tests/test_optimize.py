@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hpyparse.optimize
 from hpyparse.hpyp import (
     BaseDistribution,
     ContextTrie,
@@ -8,7 +9,7 @@ from hpyparse.hpyp import (
     SeatingStats,
     log_posterior_from_stats,
 )
-from hpyparse.optimize import optimize_params
+from hpyparse.optimize import _unpack, optimize_params
 
 from .test_hpyp import random_events, trained_trie
 
@@ -67,6 +68,43 @@ def test_objective_never_decreases_and_box_holds():
     result.params.check_box()
     assert np.all(result.params.discount > 0) and np.all(result.params.discount < 1)
     assert np.all(result.params.concentration >= 0)
+
+
+def test_each_evaluated_point_costs_one_objective_call(toy_model, monkeypatch):
+    # The trace reuses the value the solver's last evaluation computed at
+    # the same point: the objective is evaluated once for x0 (the first
+    # trace entry) and once per gradient evaluation, and every trace entry
+    # is the objective at its iterate, bit for bit.
+    trie, base = toy_model.trie, toy_model.base
+    init = DepthParams.uniform(trie.depth_count())
+    objective = hpyparse.optimize.log_posterior_from_stats
+    with_grads = []
+
+    def counted(stats, params, with_grad=False):
+        with_grads.append(with_grad)
+        return objective(stats, params, with_grad)
+
+    iterates = []
+    minimize = hpyparse.optimize.sciopt.minimize
+
+    def spying(fun, x0, callback, **kwargs):
+        iterates.append(x0.copy())
+
+        def seen(x):
+            iterates.append(x.copy())
+            callback(x)
+
+        return minimize(fun, x0, callback=seen, **kwargs)
+
+    monkeypatch.setattr(hpyparse.optimize, "log_posterior_from_stats", counted)
+    monkeypatch.setattr(hpyparse.optimize.sciopt, "minimize", spying)
+    result = optimize_params(trie, base, init=init)
+    assert result.iterations >= 2
+    assert with_grads == [False] + [True] * (len(with_grads) - 1)
+    assert len(result.objective_trace) == len(iterates) == result.iterations + 1
+    stats = SeatingStats.collect(trie, base)
+    for value, x in zip(result.objective_trace, iterates):
+        assert value == float(objective(stats, _unpack(x, init, stats.depths)))
 
 
 def pyp_draw(rng, discount, concentration, n, base_size):

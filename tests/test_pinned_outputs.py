@@ -1,11 +1,13 @@
-"""Decoder output pinned byte for byte across versions.
+"""Decoder output and model bytes pinned byte for byte across versions.
 
 Each decoder's predictions on fixed, seeded inputs are stored as SHA-256
 digests of the output file, and so is ``diagnose --sentence``'s report
 (its modal MH sample, acceptance trace and A* line). A change to the
 chart, search, sampling or tree-building code that moves a single output
 byte fails here; a change meant to move output must update the digests
-and say why.
+and say why. The toy parse and tag models' bytes are pinned the same
+way, in both context modes, so a training or model-writer change that
+moves one model byte fails here too.
 """
 
 import hashlib
@@ -15,8 +17,12 @@ import numpy as np
 import pytest
 
 from hpyparse.cli import main
+from hpyparse.config import RunConfig
+from hpyparse.model import train_model
+from hpyparse.serialize import save_model
 from hpyparse.synthetic import TagChainSpec, generate_tag_corpus
-from hpyparse.trees import write_tagged
+from hpyparse.transforms import pos_to_tree
+from hpyparse.trees import read_tag_corpus, read_treebank, write_tagged
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -36,6 +42,13 @@ EXPECTED = {
     ("tag", "astar-full"): "bacd48dcd034b810afbdec7098a617e207a74786ae1a4f78fe2ebce9a8f6ff13",
     ("tag", "astar-local"): "bacd48dcd034b810afbdec7098a617e207a74786ae1a4f78fe2ebce9a8f6ff13",
     ("tag", "mcmc"): "2cc4787322e043966caabdcb01a14b854b86be2faa4009e40580fb449ce2e655",
+}
+
+MODEL_EXPECTED = {
+    ("parse", "nonterminal"): "379af06f831bacb378b8aa48e1756dc615fffa6c8fa1c0f04398db9eda1c9b4e",
+    ("parse", "rule"): "c6f07221a7e57bb43ed0ad0134048a4a2411e0ff292b01eabf18215ae3d59af8",
+    ("tag", "nonterminal"): "2dcbdddda08f0e6b05d052c466c0683f63108556fe1b34af25e5bf9f7588ff50",
+    ("tag", "rule"): "dab1c59061678dcda44c9dc8bd295fb588689153de81a15a51908c129d56ecbe",
 }
 
 DIAGNOSE_FLAGS = ["--iters", "200", "--burn-in", "20", "--seed", "3", "--beam", "64"]
@@ -92,3 +105,17 @@ def test_diagnose_sentence_report_is_pinned(models, task, tmp_path, capsys):
     assert code == 0
     report = stdout + (out_dir / "acceptance_trace.csv").read_text()
     assert hashlib.sha256(report.encode()).hexdigest() == DIAGNOSE_EXPECTED[task], report
+
+
+def _toy_corpus(task):
+    if task == "parse":
+        with open(os.path.join(DATA, "toy_parse_train.mrg"), encoding="utf-8") as fh:
+            return read_treebank(fh.read())[0]
+    with open(os.path.join(DATA, "toy_tag_train.txt"), encoding="utf-8") as fh:
+        return [(words, pos_to_tree(tags, words)) for words, tags in read_tag_corpus(fh.read())]
+
+
+@pytest.mark.parametrize("task, mode", sorted(MODEL_EXPECTED))
+def test_model_bytes_are_pinned(task, mode):
+    model, _ = train_model(_toy_corpus(task), RunConfig(task=task, context_mode=mode))
+    assert hashlib.sha256(save_model(model)).hexdigest() == MODEL_EXPECTED[(task, mode)]

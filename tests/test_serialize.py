@@ -18,9 +18,12 @@ from hypothesis import strategies as st
 from hpyparse.cli import main
 from hpyparse.config import RunConfig
 from hpyparse.errors import ModelFormatError
+from hpyparse.hpyp import ContextTrie, Restaurant
 from hpyparse.model import train_model
-from hpyparse.serialize import MAGIC, load_model, save_model
+from hpyparse.serialize import MAGIC, _Writer, _write_trie, load_model, save_model
 from hpyparse.trees import read_treebank
+
+from .oracles import write_trie_reference
 
 
 def random_queries(model, rng, count=1000):
@@ -123,6 +126,41 @@ def test_payload_corruption_raises_only_model_format_error(toy_model, mutations)
         load_model(_redigest(blob, bytes(payload)))
     except ModelFormatError:
         pass
+
+
+# u32 values either side of 65,536, where a 16-bit field would overflow
+_U32 = st.one_of(st.integers(0, 300), st.integers(65_536, 2**32 - 1))
+
+
+@st.composite
+def restaurants(draw, depth: int = 0) -> Restaurant:
+    """Random restaurants, which need not seat a consistent trie: the
+    writer stores what it is given."""
+    node = Restaurant()
+    node.customers = draw(st.dictionaries(_U32, _U32.filter(bool), max_size=4))
+    node.total_customers = sum(node.customers.values())
+    if depth < 3:
+        for edge in draw(st.lists(_U32, unique=True, max_size=3)):
+            node.children[edge] = draw(restaurants(depth + 1))
+    return node
+
+
+def _proxy_only_trie() -> Restaurant:
+    """A top restaurant with children but no customers of its own."""
+    root, child, grandchild = Restaurant(), Restaurant(), Restaurant()
+    grandchild.customers = {70_000: 65_536, 3: 1}
+    child.children = {2**32 - 1: grandchild}
+    root.children = {65_536: child, 0: Restaurant()}
+    return root
+
+
+@given(restaurants(), st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1))
+@example(_proxy_only_trie(), 65_537, 2)
+def test_trie_writer_matches_the_per_restaurant_reference(root, num_events, max_depth):
+    trie = ContextTrie(num_dishes=2**32, root=root, num_events=num_events, max_depth=max_depth)
+    w = _Writer()
+    _write_trie(w, trie)
+    assert w.buf.getvalue() == write_trie_reference(trie)
 
 
 def test_base_draws_that_differ_from_the_top_restaurant_are_refused(toy_model):
