@@ -8,7 +8,7 @@ from .trees import Tree, read_tree, read_treebank, write_tree
 from .transforms import binarize_right, pos_to_tree, tree_to_pos, unbinarize_right
 from .signatures import replace_rare_words, word_signature
 from .events import Event, extract_events
-from .hpyp import BaseDistribution, ContextTrie, DepthParams, log_posterior
+from .hpyp import BaseDistribution, ContextTrie, DepthParams
 from .optimize import optimize_params
 from .pcfg import Pcfg, cyk_viterbi, estimate_mle, inside, sample_tree
 from .hypergraph import Hypergraph, build_hypergraph
@@ -38,7 +38,6 @@ __all__ = [
     "BaseDistribution",
     "ContextTrie",
     "DepthParams",
-    "log_posterior",
     "optimize_params",
     "Pcfg",
     "estimate_mle",

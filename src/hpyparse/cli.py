@@ -207,12 +207,10 @@ def _decode_one(model: TrainedModel, words: list[str], config: RunConfig, index:
         else:
             line = NO_PARSE
         return DecodeOutcome(line, False, seconds, note)
-    tree = replace_leaves(tree, words)
     if model.task == "tag":
-        tags, _ = tree_to_pos(tree)
-        line = write_tagged(words, tags)
+        line = write_tagged(words, tree_to_pos(tree)[0])
     else:
-        line = write_tree(unbinarize_right(tree))
+        line = write_tree(unbinarize_right(replace_leaves(tree, words)))
     return DecodeOutcome(line, True, seconds, note)
 
 

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
+from .errors import DataError
 from .grammar import Grammar, Rule, Sym
 from .hypergraph import Edge, Node, Step
-from .trees import Tree, annotate_spans
+from .trees import Sentence, Tree, annotate_spans
 
 NONTERMINAL_CONTEXT = "nonterminal"
 RULE_CONTEXT = "rule"
@@ -87,16 +88,19 @@ def leftmost_walk(
     return steps
 
 
-def tree_edges(grammar: Grammar, tree: Tree, intern: bool = False) -> list[Edge]:
+def tree_edges(grammar: Grammar, tree: Tree, words: Sentence | None = None) -> list[Edge]:
     """Each internal node's (rule id, split) in pre-order; a binary node's
-    split is where its first child's span ends. With ``intern``, the same
-    walk interns the tree's symbols and rules into the grammar: labels and
-    rules in pre-order, words in yield order. A tree without spans is
-    given them first."""
+    split is where its first child's span ends. Given ``words`` (its yield,
+    or the yield's mapped words), the same walk interns the tree into the
+    grammar: labels and rules in pre-order, and ``words`` in yield order in
+    place of its leaves. A tree without spans is given them first."""
     if tree.span is None:
         annotate_spans(tree)
     nonterminals, terminals = grammar.nonterminals, grammar.terminals
-    label, word = (nonterminals.intern, terminals.intern) if intern else (nonterminals.id, terminals.id)
+    if words is not None and len(words) != tree.span[1] - tree.span[0]:
+        raise DataError(f"{len(words)} words for a tree yield of {tree.span[1] - tree.span[0]}")
+    mapped = iter(words or ())  # in place of the leaves, which the walk pops in yield order
+    label, word = (nonterminals.id, terminals.id) if words is None else (nonterminals.intern, lambda _: terminals.intern(next(mapped)))
     rows: list[tuple[Tree, int, list[Sym]]] = []  # per internal node in pre-order: node, lhs, rhs
     todo: list[tuple[Tree | str, list[Sym]]] = [(tree, [])]  # a child with its parent's rhs
     while todo:  # pops labels in pre-order and words in yield order
@@ -110,7 +114,7 @@ def tree_edges(grammar: Grammar, tree: Tree, intern: bool = False) -> list[Edge]
         todo.extend((child, rhs) for child in reversed(node.children))
     edges = []
     for node, lhs, rhs in rows:
-        rule_id = grammar.add_rule(lhs, rhs) if intern else grammar.rule_id(Rule(lhs, tuple(rhs)))
+        rule_id = grammar.add_rule(lhs, rhs) if words is not None else grammar.rule_id(Rule(lhs, tuple(rhs)))
         first = node.children[0]
         edges.append((rule_id, -1 if len(rhs) == 1 else first.span[1] if isinstance(first, Tree) else node.span[0] + 1))
     return edges

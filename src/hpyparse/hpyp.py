@@ -355,16 +355,6 @@ def log_posterior_from_stats(
     return total
 
 
-def log_posterior(trie: ContextTrie, params: DepthParams, base: BaseDistribution) -> float:
-    """Convenience wrapper: collect stats from the trie and evaluate."""
-    stats = SeatingStats.collect(trie, base)
-    if params.depths < stats.depths:
-        raise ValueError(
-            f"params cover {params.depths} depths, trie needs {stats.depths}"
-        )
-    return log_posterior_from_stats(stats, params)
-
-
 def _log_beta_pdf(x: float, a: float, b: float) -> float:
     out = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
     if a != 1.0:

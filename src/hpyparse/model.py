@@ -134,24 +134,25 @@ class TrainedModel:
         return self.events_log_prob(extract_events(tree, self.grammar, self.context_mode))
 
 
-def intern_corpus(trees: list[Tree]) -> tuple[Grammar, list[list[Edge]]]:
-    """The grammar of fully preprocessed trees and each tree's edges,
-    read in one walk per tree (``tree_edges``)."""
-    if not trees:
+def intern_corpus(corpus: list[tuple[Sentence, Tree]]) -> tuple[Grammar, list[list[Edge]]]:
+    """The grammar of fully preprocessed trees, each paired with the words
+    that stand for its leaves, and each tree's edges, read in one walk per
+    tree (``tree_edges``)."""
+    if not corpus:
         raise DataError("empty corpus")
-    roots = {t.label for t in trees}
+    roots = {tree.label for _, tree in corpus}
     if len(roots) != 1:
         raise DataError(f"corpus has multiple root labels: {sorted(roots)}")
     grammar = Grammar()
-    edges = [tree_edges(grammar, tree, intern=True) for tree in trees]
-    grammar.set_root(grammar.nonterminal(trees[0].label))
+    edges = [tree_edges(grammar, tree, words) for words, tree in corpus]
+    grammar.set_root(grammar.nonterminal(roots.pop()))
     grammar.validate()
     return grammar, edges
 
 
 def build_grammar(trees: list[Tree]) -> Grammar:
     """Intern symbols and rules of fully preprocessed trees."""
-    return intern_corpus(trees)[0]
+    return intern_corpus([(tree.leaves(), tree) for tree in trees])[0]
 
 
 def make_base(variant: str, pcfg: Pcfg) -> BaseDistribution:
@@ -166,9 +167,10 @@ def train_model(
 ) -> tuple[TrainedModel, TrainStats]:
     """Full training pipeline over raw (sentence, tree) pairs.
 
-    Preprocessing order: right-binarize, then replace rare words; the
-    grammar, events, and probability tables are all built from the
-    processed trees, whose edges are read once (``intern_corpus``). The
+    Preprocessing: right-binarize each tree and map each sentence's rare
+    words; the grammar, events, and probability tables are all built from
+    the binarized trees read with the mapped words in place of their
+    leaves, and each tree's edges are read once (``intern_corpus``). The
     depth parameters are then fitted from the config's hyperpriors, and
     the model keeps its ``context_cap``.
     """
@@ -176,10 +178,9 @@ def train_model(
     config.validate()
     if not corpus:
         raise DataError("empty corpus")
-    binarized = [(words, binarize_right(tree)) for words, tree in corpus]
-    replaced, mapper = replace_rare_words(binarized, config.rare_threshold)
-    trees = [tree for _, tree in replaced]
-    grammar, edges = intern_corpus(trees)
+    trees = [binarize_right(tree) for _, tree in corpus]
+    sentences, mapper = replace_rare_words(corpus, config.rare_threshold)
+    grammar, edges = intern_corpus(list(zip(sentences, trees)))
     mapper.terminals = frozenset(grammar.terminals.texts())
     pcfg = estimate_mle(grammar, trees, edges)
     base = make_base(config.base, pcfg)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from .hpyp import BaseDistribution, ContextTrie, DepthParams, SeatingStats, log_posterior_from_stats
 
@@ -63,6 +62,8 @@ def optimize_params(
     objective value at every accepted iterate (monotone non-decreasing).
     Raises if the objective ever evaluates non-finite inside the box.
     """
+    from scipy import optimize as sciopt  # imported here so that decoding never loads scipy
+
     stats = SeatingStats.collect(trie, base)
     depths = stats.depths
     if init is None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .trees import Sentence, Tree, replace_leaves
+from .trees import Sentence, Tree
 
 UNK_PREFIX = "UNK"
 
@@ -85,22 +85,17 @@ def count_words(corpus: list[tuple[Sentence, Tree]]) -> Counter:
 
 def replace_rare_words(
     corpus: list[tuple[Sentence, Tree]], threshold: int
-) -> tuple[list[tuple[Sentence, Tree]], SignatureMapper]:
-    """Replace words with corpus count <= threshold by their signatures.
+) -> tuple[list[Sentence], SignatureMapper]:
+    """Map words with corpus count <= threshold to their signatures.
 
-    Returns the rewritten corpus and the mapper to apply to test input.
-    Signatures never count as rare themselves (they pass through), so
-    the operation is idempotent.
+    Returns each sentence's mapped words and the mapper to apply to test
+    input; no tree is copied. Signatures never count as rare themselves
+    (they pass through), so the operation is idempotent.
     """
     counts = count_words(corpus)
     known = {w for w, c in counts.items() if c > threshold or w.startswith(UNK_PREFIX)}
     mapper = SignatureMapper(known=known, threshold=threshold)
     if threshold <= 0:
         mapper.known = set(counts)
-        return corpus, mapper
-
-    replaced: list[tuple[Sentence, Tree]] = []
-    for _, tree in corpus:
-        words = mapper.map_sentence(tree.leaves())
-        replaced.append((words, replace_leaves(tree, words)))
-    return replaced, mapper
+        return [words for words, _ in corpus], mapper
+    return [mapper.map_sentence(words) for words, _ in corpus], mapper

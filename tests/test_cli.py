@@ -3,6 +3,7 @@ import functools
 import gc
 import multiprocessing
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -486,6 +487,13 @@ def test_decoding_enumerates_derivations_once_per_sentence(toy_model, derivation
         outcome = _decode_one(toy_model, line.split(), config, index)
         assert outcome.parsed and "fallback" not in outcome.note
         assert len(derivation_calls) == 1
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # only ``train`` fits depth parameters, so only it pays for scipy
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = "import sys, hpyparse.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_predict_task_mismatch_is_usage_error(trained, capsys):

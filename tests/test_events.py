@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hpyparse.transforms
+import hpyparse.trees
+from hpyparse.cli import main
 from hpyparse.config import RunConfig
 from hpyparse.events import (
     CONTEXT_MODES,
@@ -20,10 +23,10 @@ from hpyparse.errors import GrammarError
 from hpyparse.grammar import Grammar
 from hpyparse.hpyp import ContextTrie
 from hpyparse.hypergraph import build_hypergraph, build_tree
-from hpyparse.model import build_grammar, train_model
+from hpyparse.model import intern_corpus, train_model
 from hpyparse.pcfg import NEG_INF, inside, sampling_pick, sentence_log_prob
 from hpyparse.signatures import replace_rare_words
-from hpyparse.trees import read_tag_corpus, read_tree, read_treebank
+from hpyparse.trees import read_tag_corpus, read_tree, read_treebank, replace_leaves
 from hpyparse.transforms import binarize_right, pos_to_tree
 
 from .oracles import reference_edges, reference_grammar
@@ -34,7 +37,7 @@ def grammar_for(tree) -> Grammar:
     """Intern one tree without decoder-oriented validation (random trees
     may contain unary cycles, which event extraction does not care about)."""
     grammar = Grammar()
-    tree_edges(grammar, tree, intern=True)
+    tree_edges(grammar, tree, tree.leaves())
     grammar.set_root(grammar.nonterminal(tree.label))
     return grammar
 
@@ -124,11 +127,11 @@ def test_training_preprocessing_handles_trees_deeper_than_the_recursion_limit(
     words = [f"w{k % 50}" if k % 7 else f"rare{k}" for k in range(n)]
     tree = binarize_right(pos_to_tree(tags, words))
     assert tree.span == (0, n)
-    [(mapped, replaced)], _ = replace_rare_words([(words, tree)], threshold=1)
-    assert mapped == replaced.leaves()
+    [mapped], _ = replace_rare_words([(words, tree)], threshold=1)
     assert mapped[7] == "UNK-NUM" and mapped[1] == "w1"
-    grammar = build_grammar([replaced])
-    events = extract_events(replaced, grammar)
+    grammar, [edges] = intern_corpus([(mapped, tree)])
+    assert grammar.terminals.texts() == list(dict.fromkeys(mapped))
+    events = extract_events(tree, grammar, edges=edges)
     assert len(events) == 2 * n
     assert max(len(context) for context, _ in events) == n + 1
 
@@ -201,7 +204,7 @@ def assert_same_grammar(grammar: Grammar, expected: Grammar) -> None:
 def test_one_walk_interns_labels_in_pre_order_and_words_in_yield_order(text, nonterminals, terminals):
     tree = read_tree(text)
     grammar = Grammar()
-    edges = tree_edges(grammar, tree, intern=True)
+    edges = tree_edges(grammar, tree, tree.leaves())
     assert grammar.nonterminals.texts() == nonterminals
     assert grammar.terminals.texts() == terminals
     grammar.set_root(0)
@@ -209,16 +212,18 @@ def test_one_walk_interns_labels_in_pre_order_and_words_in_yield_order(text, non
     assert edges == tree_edges(grammar, tree) == reference_edges(grammar, tree)
 
 
-def check_one_walk(corpus, config: RunConfig) -> None:
+def check_one_walk(corpus, config: RunConfig) -> Grammar:
     """``train_model`` reads the grammar, each tree's edges and the seated
-    events that the separate passes read from its processed trees."""
-    binarized = [(words, binarize_right(tree)) for words, tree in corpus]
-    trees = [tree for _, tree in replace_rare_words(binarized, config.rare_threshold)[0]]
+    events that the separate passes read from its processed trees: the
+    binarized trees with their rare words mapped, copied here only."""
+    binarized = [binarize_right(tree) for _, tree in corpus]
+    sentences, _ = replace_rare_words(corpus, config.rare_threshold)
+    trees = [replace_leaves(tree, words) for words, tree in zip(sentences, binarized)]
     expected = reference_grammar(trees)
     walked = Grammar()
-    for tree in trees:
+    for words, binary, tree in zip(sentences, binarized, trees):
         edges = reference_edges(expected, tree)
-        assert tree_edges(walked, tree, intern=True) == tree_edges(expected, tree) == edges
+        assert tree_edges(walked, binary, words) == tree_edges(expected, tree) == edges
     walked.set_root(walked.nonterminal(trees[0].label))
     assert_same_grammar(walked, expected)
 
@@ -235,11 +240,12 @@ def check_one_walk(corpus, config: RunConfig) -> None:
     except GrammarError:  # a unary cycle, which the reference has too
         with pytest.raises(GrammarError):
             expected.validate()
-        return
+        return expected
     assert_same_grammar(model.grammar, expected)
     assert seated == [
         event for tree in trees for event in extract_events(tree, expected, config.context_mode)
     ]
+    return expected
 
 
 @pytest.mark.parametrize("mode", CONTEXT_MODES)
@@ -249,7 +255,9 @@ def test_one_walk_on_the_toy_corpora(task, mode):
         corpus, _ = read_treebank(_read("toy_parse_train.mrg"))
     else:
         corpus = [(w, pos_to_tree(t, w)) for w, t in read_tag_corpus(_read("toy_tag_train.txt"))]
-    check_one_walk(corpus, RunConfig(task=task, context_mode=mode))
+    # the toy corpora's rarest words occur 2 (tag) and 3 (parse) times
+    grammar = check_one_walk(corpus, RunConfig(task=task, context_mode=mode, rare_threshold=3))
+    assert "UNK" in grammar.terminals.texts()
 
 
 @settings(max_examples=60)
@@ -259,3 +267,21 @@ def test_one_walk_on_random_treebanks(treebank, mode, threshold):
         tree.label = "ROOT"  # one root label, as training requires
     corpus = [(tree.leaves(), tree) for tree in treebank]
     check_one_walk(corpus, RunConfig(context_mode=mode, rare_threshold=threshold))
+
+
+@pytest.mark.parametrize("name, task", [("toy_parse_train.mrg", "parse"), ("toy_tag_train.txt", "tag")])
+def test_train_folds_each_tree_at_most_three_times(name, task, tmp_path, monkeypatch, capsys):
+    # reading, then binarizing (a build and its spans); rare words are
+    # mapped on word lists, so training copies no tree
+    folds = []
+    fold = hpyparse.trees.rebuild_tree
+
+    def counted(*args):
+        folds.append(1)
+        return fold(*args)
+
+    monkeypatch.setattr(hpyparse.trees, "rebuild_tree", counted)
+    monkeypatch.setattr(hpyparse.transforms, "rebuild_tree", counted)
+    assert main(["train", os.path.join(DATA, name), "--model", str(tmp_path / "toy.model"), "--task", task]) == 0
+    trees = sum(1 for line in _read(name).splitlines() if line.strip())
+    assert 0 < len(folds) <= 3 * trees

@@ -10,7 +10,6 @@ from hpyparse.hpyp import (
     ContextTrie,
     DepthParams,
     SeatingStats,
-    log_posterior,
     log_posterior_from_stats,
 )
 
@@ -226,7 +225,7 @@ def test_empty_trie_posterior_is_prior_only():
     trie = ContextTrie(num_dishes=4)
     base = BaseDistribution.uniform(4)
     params = DepthParams.uniform(1, discount=0.3, concentration=2.0)
-    value = log_posterior(trie, params, base)
+    value = log_posterior_from_stats(SeatingStats.collect(trie, base), params)
     # uniform Beta contributes 0; Gamma(1, 1) contributes -c
     assert value == pytest.approx(-2.0)
 
@@ -252,7 +251,7 @@ def test_posterior_matches_direct_formula_single_restaurant():
     expected += restaurant_factor(2, 4, [3, 1])  # the trained restaurant
     expected += restaurant_factor(2, 2, [1, 1])  # the top restaurant (proxies)
     expected += 2 * (-c)  # Gamma(1,1) priors at both depths
-    assert log_posterior(trie, params, base) == pytest.approx(expected, abs=1e-10)
+    assert log_posterior_from_stats(SeatingStats.collect(trie, base), params) == pytest.approx(expected, abs=1e-10)
 
 
 def test_posterior_rejects_out_of_box_params():
@@ -261,10 +260,10 @@ def test_posterior_rejects_out_of_box_params():
     base = BaseDistribution.uniform(2)
     bad = DepthParams.uniform(1, discount=1.0)
     with pytest.raises(ValueError):
-        log_posterior(trie, bad, base)
+        log_posterior_from_stats(SeatingStats.collect(trie, base), bad)
     bad2 = DepthParams.uniform(1, concentration=-0.5)
     with pytest.raises(ValueError):
-        log_posterior(trie, bad2, base)
+        log_posterior_from_stats(SeatingStats.collect(trie, base), bad2)
 
 
 def test_stats_pool_across_restaurants():

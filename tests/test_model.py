@@ -157,6 +157,13 @@ def test_empty_corpus_rejected():
         train_model([], RunConfig())
 
 
+@pytest.mark.parametrize("threshold", [0, 1])
+def test_words_that_do_not_match_the_tree_yield_rejected(threshold):
+    corpus = [(["a", "b"], read_tree("(S (A a) (B b))")), (["a"], read_tree("(S (A a) (B b))"))]
+    with pytest.raises(DataError):
+        train_model(corpus, RunConfig(rare_threshold=threshold))
+
+
 def test_rule_context_mode_trains(toy_corpus):
     model, stats = train_model(toy_corpus, RunConfig(context_mode="rule"))
     assert stats.num_events > 0

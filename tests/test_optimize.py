@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
 import hpyparse.optimize
 from hpyparse.hpyp import (
@@ -85,7 +86,7 @@ def test_each_evaluated_point_costs_one_objective_call(toy_model, monkeypatch):
         return objective(stats, params, with_grad)
 
     iterates = []
-    minimize = hpyparse.optimize.sciopt.minimize
+    minimize = scipy.optimize.minimize
 
     def spying(fun, x0, callback, **kwargs):
         iterates.append(x0.copy())
@@ -97,7 +98,7 @@ def test_each_evaluated_point_costs_one_objective_call(toy_model, monkeypatch):
         return minimize(fun, x0, callback=seen, **kwargs)
 
     monkeypatch.setattr(hpyparse.optimize, "log_posterior_from_stats", counted)
-    monkeypatch.setattr(hpyparse.optimize.sciopt, "minimize", spying)
+    monkeypatch.setattr(scipy.optimize, "minimize", spying)
     result = optimize_params(trie, base, init=init)
     assert result.iterations >= 2
     assert with_grads == [False] + [True] * (len(with_grads) - 1)

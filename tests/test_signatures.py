@@ -61,8 +61,8 @@ def corpus_from(lines: list[str]):
 
 def test_threshold_zero_is_identity():
     corpus = corpus_from(["(S (A rare) (B words))"])
-    replaced, mapper = replace_rare_words(corpus, 0)
-    assert replaced == corpus
+    sentences, mapper = replace_rare_words(corpus, 0)
+    assert sentences == [words for words, _ in corpus]
     assert mapper.map_word("rare", 1) == "rare"
 
 
@@ -70,10 +70,9 @@ def test_rare_words_replaced_in_tree_and_sentence():
     corpus = corpus_from(
         ["(S (A dog) (B dog))", "(S (A dog) (B Xylo))"]
     )
-    replaced, mapper = replace_rare_words(corpus, 1)
-    words, tree = replaced[1]
-    assert words == ["dog", "UNK-INITC"]
-    assert tree.leaves() == words
+    sentences, mapper = replace_rare_words(corpus, 1)
+    assert sentences == [["dog", "dog"], ["dog", "UNK-INITC"]]
+    assert corpus[1][1].leaves() == ["dog", "Xylo"]
     # unseen test word maps through the same function
     assert mapper.map_word("Zq", 0) == word_signature("Zq", True)
     assert mapper.map_word("dog", 3) == "dog"
@@ -83,8 +82,8 @@ def test_no_surviving_rare_words_after_replacement():
     corpus = corpus_from(
         ["(S (A a) (B b))", "(S (A a) (B c))", "(S (A a) (B b))"]
     )
-    replaced, _ = replace_rare_words(corpus, 1)
-    counts = count_words(replaced)
+    sentences, _ = replace_rare_words(corpus, 1)
+    counts = count_words([(words, tree) for words, (_, tree) in zip(sentences, corpus)])
     for word, count in counts.items():
         if not word.startswith("UNK"):
             assert count > 1
@@ -93,8 +92,8 @@ def test_no_surviving_rare_words_after_replacement():
 def test_replacement_idempotent_on_corpus():
     corpus = corpus_from(["(S (A one) (B two))", "(S (A one) (B three))"])
     once, _ = replace_rare_words(corpus, 1)
-    twice, _ = replace_rare_words(once, 1)
-    assert [w for w, _ in twice] == [w for w, _ in once]
+    twice, _ = replace_rare_words([(words, tree) for words, (_, tree) in zip(once, corpus)], 1)
+    assert twice == once
 
 
 def test_mapper_sentence_positions():
