@@ -138,7 +138,8 @@ def astar_parse(
             if len(queue) > max_queue:
                 max_queue = len(queue)
     else:  # the queue starved: the proposal grammar's Viterbi tree of ``hg``
-        tree = best_tree(hg, lambda _, edge: model.pcfg.log_probs[edge[0]])
+        log_probs = model.pcfg.log_probs.tolist()
+        tree = best_tree(hg, lambda _, edge: log_probs[edge[0]])
         if tree is None:
             raise DataError("search starved and the fallback grammar has no parse")
         log_score, used_fallback = model.tree_log_prob(tree), True

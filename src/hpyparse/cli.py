@@ -455,7 +455,13 @@ def main(argv: list[str] | None = None) -> int:
             "diagnose": cmd_diagnose,
         }[args.command]
         gc.disable()
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # so a reader that left shows here, not at exit
+        return code
+    except BrokenPipeError:  # stdout goes to devnull, so the exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("data error: standard output closed", file=sys.stderr)
+        return 2
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

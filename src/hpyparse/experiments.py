@@ -74,11 +74,12 @@ def run_depth_effect(
     # one model per cap, so each keeps its expansion cache across sentences
     capped = [dataclasses.replace(model, context_cap=c) for c in caps]
     correct = {label: 0 for label in labels}
+    log_probs = model.pcfg.log_probs.tolist()
     for words, tags in test:
         gold = write_tree(pos_to_tree(tags, words))
         hg = build_hypergraph(model.grammar, words)
         candidates = list(enumerate_trees(hg, limit=enumeration_limit))
-        viterbi = best_tree(hg, lambda _, edge: model.pcfg.log_probs[edge[0]])
+        viterbi = best_tree(hg, lambda _, edge: log_probs[edge[0]])
         if viterbi is not None and write_tree(viterbi) == gold:
             correct["pcfg"] += 1
         for label, capped_model in zip(labels[1:], capped):

@@ -56,8 +56,8 @@ class RuleTables(NamedTuple):
     lhs_position: list[int]  # rule id -> its position in its lhs's list
     # (rule, lhs, child) for the unary nonterminal rules, children before parents
     unary: list[tuple[int, int, int]]
-    # (span ends before n, starts after 0) -> for such spans: terminal ->
-    # (rule, lhs), left child Sym -> (rule, lhs, right child), unary rows
+    # (span ends before n, starts after 0) -> for such spans: terminal -> (rule,
+    # lhs), left child Sym -> ({right nonterminal: rows}, {right terminal: rows}), unary
     by_position: dict[tuple[bool, bool], tuple[dict, dict, list]]
 
 
@@ -182,7 +182,6 @@ class Grammar:
         by_lhs: dict[int, list[int]] = {}
         lhs_position: list[int] = []
         lexical: dict[int, list[tuple[int, int]]] = {}
-        binary: dict[tuple[bool, int], list[tuple[int, int, Sym]]] = {}
         unary: list[tuple[int, int, int]] = []
         children: dict[int, set[int]] = {}  # unary lhs -> its children
         for rid, rule in enumerate(self.rules):
@@ -191,9 +190,7 @@ class Grammar:
             same_lhs.append(rid)
             if rule.is_lexical:
                 lexical.setdefault(rule.rhs[0].id, []).append((rid, rule.lhs))
-            elif rule.is_binary:
-                binary.setdefault(rule.rhs[0], []).append((rid, rule.lhs, rule.rhs[1]))
-            else:
+            elif rule.is_unary:
                 unary.append((rid, rule.lhs, rule.rhs[0].id))
                 children.setdefault(rule.lhs, set()).add(rule.rhs[0].id)
         try:
@@ -215,12 +212,20 @@ class Grammar:
                     free.update(sym.id for sym in inner if not sym.terminal)
                     if lhs in free and not outer.terminal:
                         free.add(outer.id)
-        by_position = {}
+        by_position: dict[tuple[bool, bool], tuple[dict, dict, list]] = {}
         for position in ((False, False), (False, True), (True, False), (True, True)):
             ok = set(by_lhs).intersection(*(f for f, on in zip((early, late), position) if on))
-            by_position[position] = (lexical, binary, unary) if ok == set(by_lhs) else (
+            if ok == set(by_lhs) and by_position:  # drops nothing, as (False, False) does
+                by_position[position] = by_position[False, False]
+                continue
+            by_left: dict[Sym, tuple[dict, dict]] = {}
+            for rid, (lhs, rhs) in enumerate(self.rules):
+                if len(rhs) == 2 and lhs in ok:
+                    by_right = by_left.setdefault(rhs[0], ({}, {}))[rhs[1].terminal]
+                    by_right.setdefault(rhs[1].id, []).append((rid, lhs))
+            by_position[position] = (
                 {t: kept for t, rows in lexical.items() if (kept := [r for r in rows if r[1] in ok])},
-                {c: kept for c, rows in binary.items() if (kept := [r for r in rows if r[1] in ok])},
+                by_left,
                 [row for row in unary if row[1] in ok],
             )
         self._tables = RuleTables(by_lhs, lhs_position, unary, by_position)

@@ -57,8 +57,10 @@ def derivations(grammar: Grammar, words: Sentence) -> list[Derivation]:
     lexical edges in rule-id order, then the binary edges by (rule id,
     split), then the unary edges in ``grammar.unary_rule_order()``; so
     every edge comes after all edges of its tails, and a fold over the
-    list combines each item's edges in one fixed order. A terminal in a
-    binary child slot matches exactly a width-one span with that word.
+    list combines each item's edges in one fixed order. Per split, each
+    left child's nonterminal partners are intersected with the right cell
+    (one set operation, not one test per rule); a terminal in a binary
+    child slot matches exactly a width-one span with that word.
     """
     # unknown words get -1, which no rule matches
     word_ids = [grammar.terminals.id(w) if w in grammar.terminals else -1 for w in words]
@@ -83,18 +85,18 @@ def derivations(grammar: Grammar, words: Sentence) -> list[Derivation]:
                 if m == i + 1:
                     lefts.append((True, word_ids[i]))
                 for left in lefts:
-                    for rid, lhs, (right_terminal, right) in binary.get(left, ()):
-                        if right_terminal:
-                            if j != m + 1 or word_ids[m] != right:
-                                continue
-                            tails: tuple[Node, ...] = ()
-                        elif right in rights:
-                            tails = ((right, m, j),)
-                        else:
-                            continue
-                        if not left[0]:
-                            tails = ((left[1], i, m),) + tails
-                        found.append((rid, m, lhs, tails))
+                    partners = binary.get(left)
+                    if partners is None:
+                        continue
+                    by_nonterminal, by_terminal = partners
+                    left_tail: tuple[Node, ...] = () if left[0] else ((left[1], i, m),)
+                    for right in by_nonterminal.keys() & rights:
+                        tails = left_tail + ((right, m, j),)
+                        for rid, lhs in by_nonterminal[right]:
+                            found.append((rid, m, lhs, tails))
+                    if j == m + 1:
+                        for rid, lhs in by_terminal.get(word_ids[m], ()):
+                            found.append((rid, m, lhs, left_tail))
             found.sort()  # (rule id, split) is unique within a cell
             for rid, m, lhs, tails in found:
                 out.append(((lhs, i, j), (rid, m), tails))

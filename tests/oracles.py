@@ -143,6 +143,97 @@ def tree_prob(grammar: Grammar, rule_probs, tree: Tree) -> float:
     return p
 
 
+# -- per-left-rule derivation enumeration ------------------------------------
+
+
+def position_filter(grammar: Grammar) -> dict[tuple[bool, bool], set[int]]:
+    """(span ends before n, starts after 0) -> the nonterminals some complete
+    tree can hold at such a span, by fixpoint: a non-last (non-first) child
+    can end early (start late), and so can a last (first) nonterminal child
+    whose lhs can."""
+    early: set[int] = set()
+    late: set[int] = set()
+    changed = True
+    while changed:
+        before = (len(early), len(late))
+        for rule in grammar.rules:
+            if rule.is_lexical:
+                continue
+            for free, inner, outer in ((early, rule.rhs[:-1], rule.rhs[-1]), (late, rule.rhs[1:], rule.rhs[0])):
+                free.update(sym.id for sym in inner if not sym.terminal)
+                if rule.lhs in free and not outer.terminal:
+                    free.add(outer.id)
+        changed = before != (len(early), len(late))
+    every = {rule.lhs for rule in grammar.rules}
+    return {
+        (ends, starts): every & (early if ends else every) & (late if starts else every)
+        for ends in (False, True)
+        for starts in (False, True)
+    }
+
+
+def reference_derivations(grammar: Grammar, words: list[str]) -> list:
+    """The edges ``hypergraph.derivations`` lists, in its order, found one rule
+    at a time: for each left child of a split (a derivable nonterminal, or the
+    word at a width-one left span), every binary rule with that left child is
+    tested against the right cell or the right word."""
+    allowed = position_filter(grammar)
+    word_ids = [grammar.terminals.id(w) if w in grammar.terminals else -1 for w in words]
+    lexical: dict[int, list[tuple[int, int]]] = {}
+    binary: dict[Sym, list[tuple[int, int, Sym]]] = {}
+    for rid, rule in enumerate(grammar.rules):
+        if rule.is_lexical:
+            lexical.setdefault(rule.rhs[0].id, []).append((rid, rule.lhs))
+        elif rule.is_binary:
+            binary.setdefault(rule.rhs[0], []).append((rid, rule.lhs, rule.rhs[1]))
+    unary = [(rid, grammar.rules[rid].lhs, grammar.rules[rid].rhs[0].id) for rid in grammar.unary_rule_order()]
+
+    n = len(words)
+    cells: dict[tuple[int, int], set[int]] = {}
+    out = []
+    for width in range(1, n + 1):
+        for i in range(n - width + 1):
+            j = i + width
+            ok = allowed[j < n, i > 0]
+            here: set[int] = set()
+            if width == 1:
+                for rid, lhs in lexical.get(word_ids[i], ()):
+                    if lhs in ok:
+                        out.append(((lhs, i, j), (rid, -1), ()))
+                        here.add(lhs)
+            found = []
+            for m in range(i + 1, j):
+                rights = cells[m, j]
+                lefts = [Sym(False, a) for a in cells[i, m]]
+                if m == i + 1:
+                    lefts.append(Sym(True, word_ids[i]))
+                for left in lefts:
+                    for rid, lhs, right in binary.get(left, ()):
+                        if lhs not in ok:
+                            continue
+                        if right.terminal:
+                            if j != m + 1 or word_ids[m] != right.id:
+                                continue
+                            tails: tuple = ()
+                        elif right.id in rights:
+                            tails = ((right.id, m, j),)
+                        else:
+                            continue
+                        if not left.terminal:
+                            tails = ((left.id, i, m),) + tails
+                        found.append((rid, m, lhs, tails))
+            found.sort()
+            for rid, m, lhs, tails in found:
+                out.append(((lhs, i, j), (rid, m), tails))
+                here.add(lhs)
+            for rid, lhs, child in unary:
+                if lhs in ok and child in here:
+                    out.append(((lhs, i, j), (rid, -1), ((child, i, j),)))
+                    here.add(lhs)
+            cells[i, j] = here
+    return out
+
+
 # -- a treebank's grammar and a trie's bytes ---------------------------------
 
 

@@ -496,6 +496,26 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+@pytest.mark.parametrize("command", [["evaluate", GOLD, GOLD], ["predict", SENTS, "--model", "{trained}"]])
+def test_a_closed_standard_output_is_a_data_error(trained, command):
+    # the reader leaves before the child writes: the pipe's read end is closed first
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = "import sys; from hpyparse.cli import main; sys.exit(main())"
+    args = [arg.format(trained=trained) for arg in command]
+    try:
+        child = subprocess.run(
+            [sys.executable, "-c", code, *args], stdout=write_end, stderr=subprocess.PIPE, env=env
+        )
+    finally:
+        os.close(write_end)
+    err = child.stderr.decode()
+    assert child.returncode == 2, err
+    assert err.endswith("data error: standard output closed\n")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_predict_task_mismatch_is_usage_error(trained, capsys):
     code, _, err = run(
         ["predict", SENTS, "--model", trained, "--task", "tag"], capsys

@@ -1,14 +1,17 @@
+import itertools
+
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from hpyparse.config import RunConfig
 from hpyparse.errors import DataError, GrammarError
 from hpyparse.hypergraph import build_hypergraph, count_trees, derivations, enumerate_trees
-from hpyparse.model import build_grammar
+from hpyparse.model import build_grammar, train_model
 from hpyparse.transforms import START_TAG, binarize_right, pos_to_tree, twin_label
 from hpyparse.trees import Tree, write_tree
 
-from .oracles import enumerate_parses
+from .oracles import enumerate_parses, reference_derivations
 from .strategies import tag_sequences, trees
 from .test_pcfg import AMBIGUOUS, fit, toy_cases
 
@@ -195,7 +198,8 @@ def test_tag_chain_labels_never_end_early():
     ]
     grammar = build_grammar([pos_to_tree(t.split(), w.split()) for t, w in tagged])
     lexical, binary, unary = grammar.tables.by_position[True, False]
-    ends_early = {row[1] for table in (lexical, binary) for rows in table.values() for row in rows}
+    ends_early = {row[1] for rows in lexical.values() for row in rows}
+    ends_early |= {row[1] for partners in binary.values() for by_right in partners for rows in by_right.values() for row in rows}
     ends_early |= {row[1] for row in unary}
     tags = {tag for t, _ in tagged for tag in t.split()}
     chain = {grammar.nonterminals.id(label) for label in tags | {START_TAG}}
@@ -203,3 +207,67 @@ def test_tag_chain_labels_never_end_early():
     assert chain <= set(grammar.tables.by_lhs)
     assert not chain & ends_early
     assert twins <= ends_early
+
+
+# -- the partner-set enumeration against the per-left-rule one -------------------
+
+
+def assert_matches_reference(grammar, sentences):
+    for words in sentences:
+        assert derivations(grammar, words) == reference_derivations(grammar, words), words
+
+
+def with_unknown_words(sentences):
+    """Each sentence, and each with its first and its last word unknown."""
+    return sentences + [["<unseen>"] + w[1:] for w in sentences] + [w[:-1] + ["<unseen>"] for w in sentences]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(trees(max_depth=3, max_children=3), min_size=1, max_size=4),
+    st.sampled_from(["nonterminal", "rule"]),
+    st.sampled_from([0, 1]),
+)
+def test_derivations_match_the_reference_on_random_treebanks(corpus, mode, rare_threshold):
+    pairs = [(tree.leaves(), Tree("ROOT", [tree])) for tree in corpus]
+    try:
+        model, _ = train_model(pairs, RunConfig(context_mode=mode, rare_threshold=rare_threshold))
+    except GrammarError:  # a unary cycle
+        reject()
+    sentences = sentences_from([words for words, _ in pairs])
+    mapped = [model.mapper.map_sentence(words) for words in sentences]
+    assert_matches_reference(model.grammar, with_unknown_words(sentences) + mapped)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(tag_sequences(max_len=6), min_size=1, max_size=5))
+def test_derivations_match_the_reference_on_random_tag_corpora(corpus):
+    grammar = build_grammar([pos_to_tree(tags, words) for tags, words in corpus])
+    assert_matches_reference(grammar, with_unknown_words(sentences_from([words for _, words in corpus])))
+
+
+def test_derivations_match_the_reference_on_the_toy_grammars():
+    for pcfg, sentences in toy_cases():
+        assert_matches_reference(pcfg.grammar, with_unknown_words(sentences))
+    grammar, _ = fit(AMBIGUOUS)
+    assert_matches_reference(grammar, [["a"] * n for n in range(1, 7)])
+
+
+def test_derivations_match_the_reference_with_terminals_in_every_binary_slot():
+    # binary rules with a terminal left child (L -> a R), right child
+    # (F -> L c), both (R -> c c) and neither (X -> L R); F never starts
+    # after 0 and E never ends before n, so the four position classes differ
+    lines = [
+        "(S (F (L a (R b)) c) (E (A a) d))",
+        "(S a (X (L (A a) b) (R c c)))",
+        "(S (X (A a) (B b)) (R b a))",
+        "(S (F a b) (E c))",
+    ]
+    grammar, _ = fit(lines)
+    binary_tables = [tables[1] for tables in grammar.tables.by_position.values()]
+    assert all(a != b for a, b in itertools.combinations(binary_tables, 2))
+    sentences = [
+        list(words) for n in range(1, 6) for words in itertools.product("abcdx", repeat=n) if n < 5 or "x" not in words
+    ]
+    assert_matches_reference(grammar, sentences)
+    assert sum(not build_hypergraph(grammar, words).empty for words in sentences) > 10
