@@ -5,20 +5,20 @@ is always expanded next, so each complete tree is reached by exactly one
 expansion sequence. Queue priority is the accumulated model log score
 plus a completion estimate computed from the proposal grammar's inside
 chart. Neither estimate is admissible, so the first complete tree popped
-is not guaranteed optimal, and often it is not. On the tag-astar bench
-workload at seed 7 (ROADMAP item 3), the exact argmax beat A*'s tree on
-42 of 197 enumerable held-out sentences, by 1.16 nats on average. Beams
-of 256, 4,096 and unbounded miss the same sentences of a 43-sentence
-subset: the proposal grammar's inside scores do not bound the HPYP's
-renormalized scores, so the estimate is the cause, not the beam.
+is not guaranteed optimal, and often it is not: ROADMAP item 3's table
+counts the held-out sentences where the exact argmax beats A*'s tree
+(245 of 1,000 on the tag-astar bench workload at seed 7). Wider beams
+miss the same sentences: the proposal grammar's inside scores do not
+bound the HPYP's renormalized scores, so the estimate is the cause.
 
 Both estimates sum inside log scores (``completion_estimate``): the full
 estimate over every open frontier item, the local one over just the
-children created by the latest expansion. A frontier item carries its
-restaurant and its inside score. An item's edges, with their children's
-context elements and inside scores, are tabled at its first pop, and a
-push steps each child's restaurant from its parent's (``TrainedModel.step``)
-instead of building a context tuple and walking the trie.
+children created by the latest expansion. An item's edges, with their
+children's context elements and inside scores, are tabled at its first
+pop. The frontier is a linked chain of those tabled child tuples, so a
+push copies nothing, and an item's restaurant is stepped from its
+parent's (``TrainedModel.step``) when the item is popped: entries that
+are never popped never pay for a step.
 """
 
 from __future__ import annotations
@@ -82,17 +82,21 @@ def astar_parse(
     assert hg.root is not None
 
     # A queue entry is (priority, -seq, log score, frontier, decisions).
-    # ``frontier`` holds the unexpanded items left to right as (item,
-    # restaurant, inside score) triples; the restaurant scores the item's
-    # expansion. ``decisions`` links the applied edges as (edge, previous)
-    # pairs, which is enough to replay the derivation (leftmost expansion
-    # is deterministic). The queue is kept sorted ascending by (priority,
+    # ``frontier`` chains the unexpanded items left to right: () or (kids,
+    # parent restaurant, rest), where ``kids`` is an item table's tuple of
+    # (item, context element, inside score) siblings, so a push copies
+    # nothing. An item's restaurant is stepped from its parent's when it is
+    # popped (the root's element is None: its parent is its restaurant).
+    # ``decisions`` links the applied edges as (edge, previous) pairs, which
+    # is enough to replay the derivation (leftmost expansion is
+    # deterministic). The queue is kept sorted ascending by (priority,
     # -seq): the best entry sits at the end (FIFO among exact ties), the
     # worst at the front where beam eviction removes it.
     mode = model.context_mode
-    root_entry = (hg.root, model.restaurant(root_context(hg.root[0], mode)), chart.log_prob(*hg.root))
+    root_inside = chart.log_prob(*hg.root)
+    root_frontier = (((hg.root, None, root_inside),), model.restaurant(root_context(hg.root[0], mode)), ())
     neg_seq = itertools.count(0, -1)
-    queue = [(completion_estimate([root_entry[2]]), next(neg_seq), 0.0, (root_entry,), ())]
+    queue = [(completion_estimate([root_inside]), next(neg_seq), 0.0, root_frontier, ())]
     lhs_position = model.grammar.lhs_position
     step, insort = model.step, bisect.insort
     full = heuristic == HEURISTIC_FULL
@@ -113,24 +117,29 @@ def astar_parse(
             tree = build_tree(hg.grammar, hg.words, steps)
             used_fallback = False
             break
-        (node, restaurant, _), rest = frontier[0], frontier[1:]
+        kids, parent, rest = frontier
+        node, element, _ = kids[0]
+        rest = (kids[1:], parent, rest) if len(kids) > 1 else rest
+        restaurant = parent if element is None else step(parent, element)
         table = tables.get(node)
         if table is None:
             table = tables[node] = []
             for edge in hg.edges[node]:
-                kids = [(c, e, chart.log_prob(*c)) for c, e in child_elements(hg.grammar, node, edge, mode)]
+                kids = tuple([(c, e, chart.log_prob(*c)) for c, e in child_elements(hg.grammar, node, edge, mode)])
                 table.append((edge, lhs_position[edge[0]], kids, completion_estimate([k[2] for k in kids])))
         # every edge of the item is scored under its one (restaurant, lhs)
         _, logs = model.expansion_log_probs(restaurant, node[0])
-        rest_insides = [inside for _, _, inside in rest] if full else ()
+        rest_insides, chain = [], (rest if full else ())
+        while chain:  # the rest's inside scores, left to right
+            kids, _, chain = chain
+            rest_insides += [inside for _, _, inside in kids]
         for edge, position, kids, estimate in table:
             score = log_score + float(logs[position])
             # the full estimate goes on from the children's over the rest
             priority = score + completion_estimate(rest_insides, estimate)
             if priority == NEG_INF:
                 continue
-            children = tuple([(child, step(restaurant, element), inside) for child, element, inside in kids])
-            insort(queue, (priority, next(neg_seq), score, children + rest, (edge, decisions)))
+            insort(queue, (priority, next(neg_seq), score, (kids, restaurant, rest) if kids else rest, (edge, decisions)))
             pushes += 1
             if beam is not None and len(queue) > beam:
                 del queue[0]

@@ -179,6 +179,26 @@ def test_one_expansion_lookup_per_pop(monkeypatch):
     )
 
 
+def test_restaurants_are_stepped_at_pop(monkeypatch):
+    # A child's restaurant is stepped when the child is popped, not when it
+    # is pushed: one step per pop but the root's (its restaurant is looked
+    # up) and the goal's (it expands nothing).
+    tagged = generate_tag_corpus(60, np.random.default_rng(5))
+    model, _ = train_model([(w, pos_to_tree(t, w)) for w, t in tagged], RunConfig(task="tag"))
+    steps = []
+    real = TrainedModel.step
+
+    def counted(self, restaurant, element):
+        steps.append(element)
+        return real(self, restaurant, element)
+
+    monkeypatch.setattr(TrainedModel, "step", counted)
+    mapped, hg, chart = prepared(model, "u u v v u v".split())
+    result = astar_parse(model, hg, chart, "full", beam=8)
+    assert (result.pops, result.pushes) == (37, 51)
+    assert len(steps) == result.pops - 2
+
+
 # -- the search against a tuple-context reference ------------------------------
 
 
@@ -187,7 +207,8 @@ def reference_astar(model, hg, chart, heuristic, beam):
     child's context is its parent's tuple plus one element, and each
     expansion's vector is folded over the trie's chain for that tuple,
     walked from the root and cut to ``context_cap`` + 1 entries. Returns
-    (tree, log score, pops, pushes, evictions, max queue, used fallback)."""
+    (tree, log score, pops, pushes, evictions, max queue, used fallback,
+    longest frontier pushed)."""
 
     def estimate(items):
         total = 0.0
@@ -211,7 +232,7 @@ def reference_astar(model, hg, chart, heuristic, beam):
     root_entry = (hg.root, root_context(hg.root[0], mode))
     queue = [(estimate([hg.root]), -next(seq), 0.0, (root_entry,), ())]
     pops = pushes = evictions = 0
-    max_queue = 1
+    max_queue = max_frontier = 1
     while queue:
         _, _, log_score, frontier, decisions = queue.pop()
         pops += 1
@@ -219,7 +240,7 @@ def reference_astar(model, hg, chart, heuristic, beam):
             replay = iter(decisions)
             steps = leftmost_walk(hg.grammar, hg.root, lambda _: next(replay))
             tree = build_tree(hg.grammar, hg.words, steps)
-            return tree, log_score, pops, pushes, evictions, max_queue, False
+            return tree, log_score, pops, pushes, evictions, max_queue, False, max_frontier
         (node, context), rest = frontier[0], frontier[1:]
         logs = expansion(context, node[0])
         for edge in hg.edges[node]:
@@ -232,12 +253,13 @@ def reference_astar(model, hg, chart, heuristic, beam):
                 continue
             bisect.insort(queue, (priority, -next(seq), score, new_frontier, decisions + (edge,)))
             pushes += 1
+            max_frontier = max(max_frontier, len(new_frontier))
             if beam is not None and len(queue) > beam:
                 del queue[0]
                 evictions += 1
             max_queue = max(max_queue, len(queue))
     tree = cyk_viterbi(model.pcfg, hg.words)
-    return tree, model.tree_log_prob(tree), pops, pushes, evictions, max_queue, True
+    return tree, model.tree_log_prob(tree), pops, pushes, evictions, max_queue, True, max_frontier
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +299,8 @@ def both_searches(model, hg, chart, heuristic, beam):
             bisect.insort = real
         if search is astar_parse:
             got = (got.tree, got.log_score, got.pops, got.pushes, got.evictions, got.max_queue, got.used_fallback)
+        else:
+            got = got[:-1]  # the longest frontier, which only the reference reports
         runs.append((write_tree(got[0]),) + tuple(got[1:]) + (pushed,))
     return runs
 
@@ -301,6 +325,18 @@ def test_search_matches_the_tuple_context_reference(search_cases, set_cap):
                     for beam in (1, 8, None):
                         ours, reference = both_searches(model, hg, chart, heuristic, beam)
                         assert ours == reference, (base.context_mode, cap, words, heuristic, beam)
+
+
+def test_the_grid_reaches_long_frontiers(search_cases):
+    # the full estimate's walk over the rest of the frontier, and its left
+    # to right sum over several items, are compared on frontiers of 3+ items
+    longest = 0
+    for model, sentences in search_cases:
+        for words in sentences:
+            mapped, hg, chart = prepared(model, words)
+            for beam in (1, 8, None):
+                longest = max(longest, reference_astar(model, hg, chart, "full", beam)[-1])
+    assert longest >= 3
 
 
 def test_search_counts_differ_across_the_grid(search_cases):
